@@ -7,6 +7,7 @@ from .band import (
     BandSpec,
     FactoredDet,
     all_b_row_count,
+    band_rows,
     bordered_matrix,
     det_case1,
     det_case2,
@@ -61,10 +62,8 @@ from .rings import (
     Poly,
     RingElement,
     as_element,
-    coeff,
     element_from_json,
     element_to_json,
-    scalar_mul,
 )
 
 __version__ = "0.1.0"

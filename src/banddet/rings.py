@@ -21,8 +21,6 @@ __all__ = [
     "Integer",
     "Poly",
     "as_element",
-    "scalar_mul",
-    "coeff",
     "element_to_json",
     "element_from_json",
 ]
@@ -222,20 +220,6 @@ def as_element(v: "RingElement | int") -> RingElement:
     if isinstance(v, int):
         return Integer(v)
     raise TypeError(f"cannot use {type(v).__name__} as a ring element")
-
-
-def scalar_mul(s: int, x: RingElement) -> RingElement:
-    """The s-fold exact sum of x, for integer multipliers in closed forms."""
-    if not isinstance(s, int):
-        raise TypeError("scalar must be a plain int")
-    return x * s
-
-
-def coeff(p: Poly, k: int) -> int:
-    """Coefficient of the k-th power of a polynomial; 0 beyond the degree."""
-    if not isinstance(p, Poly):
-        raise TypeError("coeff applies to polynomials")
-    return p.coeff(k)
 
 
 def element_to_json(x: RingElement) -> "str | list[str]":

@@ -7,6 +7,7 @@ from banddet import (
     MixedRingError,
     Poly,
     all_b_row_count,
+    band_rows,
     bordered_matrix,
     det_case1,
     det_case2,
@@ -268,6 +269,31 @@ class TestFClosed:
             want = f_closed(n, 2, 5)
             for k in range(1, n):
                 assert det_laplace(bordered_matrix(n, k, 2, 5)) == want
+
+
+class TestBorderedMatrix:
+    def test_block_is_the_materialized_band(self):
+        for n in range(2, 8):
+            for k in range(1, n):
+                for a, b in ((2, 5), (1, 0), (Poly.constant(1), Poly.variable())):
+                    spec = BandSpec(n - 1, k, 1, a, b)
+                    block = materialize(spec).rows
+                    want = tuple(row + (spec.a,) for row in block) + ((spec.a,) * n,)
+                    assert bordered_matrix(n, k, a, b).rows == want, (n, k)
+
+    def test_order_one(self):
+        assert bordered_matrix(1, 1, 3, 4).rows == ((Integer(3),),)
+
+
+class TestBandRows:
+    def test_window_wider_than_the_matrix_saturates(self):
+        assert band_rows(1, 2, 1, "b", "a") == (("b",),)
+        assert band_rows(2, 5, 5, "b", "a") == (("b", "b"), ("b", "b"))
+        assert band_rows(3, 4, 1, "b", "a") == (
+            ("b", "b", "b"),
+            ("a", "b", "b"),
+            ("a", "a", "b"),
+        )
 
 
 class TestGClosed:

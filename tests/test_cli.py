@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -62,6 +63,22 @@ class TestDet:
         assert obj["det"] == "3"
         assert obj["case"] == 2
         assert obj["a"] == "1"
+
+    def test_render_error_prints_no_partial_answer(self, capsys):
+        # det = 2^19999 * 10002 has more digits than int -> str allows at 4300
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            for fmt in ("text", "json"):
+                code, out, err = run(
+                    capsys, "det", "--n", "20000", "--k", "2", "--l", "1",
+                    "--a", "1", "--b", "3", "--format", fmt,
+                )
+                assert code != 0
+                assert out == ""
+                assert "error" in err
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_recurrence_requires_l1(self, capsys):
         code, _, err = run(

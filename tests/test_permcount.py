@@ -61,10 +61,13 @@ class TestParityCount:
             ParityCount(2, 1, 4, 1)
         with pytest.raises(ParityError):
             ParityCount(-1, 1, 0, -2)
+        with pytest.raises(ParityError):
+            ParityCount.split(3, 0)
 
     def test_consistent(self):
         pc = ParityCount(3, 3, 6, 0)
         assert pc.permanent == 6
+        assert ParityCount.split(6, 0) == pc
 
 
 class TestPermSign:
@@ -150,7 +153,7 @@ class TestMenageMatrices:
         assert permanent_ryser(menage_b_matrix(10).to_dense()).value == 159737
 
     def test_matches_band_materialization(self):
-        for n in range(2, 8):
+        for n in range(2, 13):
             a_bits = tuple(
                 tuple(e.value for e in row)
                 for row in materialize(BandSpec(n, 2, 1, 1, 0)).rows
@@ -161,6 +164,9 @@ class TestMenageMatrices:
                 for row in materialize(BandSpec(n, 2, 2, 1, 0)).rows
             )
             assert menage_b_matrix(n).bits == b_bits
+        # at n = 1 the width-2 window is wider than the matrix
+        assert menage_a_matrix(1).bits == ((0,),)
+        assert menage_b_matrix(1).bits == ((0,),)
 
 
 class TestMenageAPermanent:
