@@ -120,11 +120,7 @@ def materialize(spec: BandSpec) -> DenseMatrix:
 
 
 def residue(spec: BandSpec) -> BandResidue:
-    if spec.l == 1:
-        p = spec.n % spec.k or spec.k
-        return BandResidue(p, (spec.n - p) // spec.k, 1)
-    w = spec.k + spec.l - 1
-    return BandResidue(spec.n % w, spec.n // w, 2)
+    return _residue(spec.n, spec.k, spec.l)
 
 
 @dataclass(frozen=True)
@@ -162,12 +158,19 @@ def _int_quotient(num: int, den: int) -> int:
     return q
 
 
+def _residue(n: int, k: int, l: int) -> BandResidue:
+    """The residue rule that `residue` reports and both closed forms use."""
+    if l == 1:
+        p = n % k or k
+        return BandResidue(p, _int_quotient(n - p, k), 1)
+    w = k + l - 1
+    return BandResidue(n % w, n // w, 2)
+
+
 def _case1_factored(n: int, k: int, a: RingElement, b: RingElement) -> FactoredDet:
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n} k={k}")
-    p = n % k or k
-    q = _int_quotient(n - p, k)
-    return FactoredDet(1, b - a, n - 1, b + a * q)
+    return FactoredDet(1, b - a, n - 1, b + a * _residue(n, k, 1).quotient)
 
 
 def det_case1(n: int, k: int, a, b) -> RingElement:
@@ -187,15 +190,12 @@ def _case2_factored(
 ) -> FactoredDet:
     if n < 1 or not 1 < l <= k:
         raise ValueError(f"need n >= 1 and 1 < l <= k, got n={n} k={k} l={l}")
-    w = k + l - 1
-    p = n % w
-    s = n // w
-    if p == 0:
-        tail = b + a * _int_quotient(n - k - l + 1, w)
-    elif p == 1:
-        tail = b + a * _int_quotient(n - 1, w)
-    else:
+    r = _residue(n, k, l)
+    if r.p > 1:
         return FactoredDet(1, b - a, n - 1, a.ring_zero())
+    s = r.quotient
+    # (n-k-l+1)/(k+l-1) = s-1 when p = 0, and (n-1)/(k+l-1) = s when p = 1
+    tail = b + a * (s - 1 if r.p == 0 else s)
     sign = -1 if ((k - 1) * (l - 1) * s) & 1 else 1
     return FactoredDet(sign, b - a, n - 1, tail)
 

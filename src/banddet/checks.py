@@ -1,9 +1,10 @@
 """Differential and invariant suites behind the `check` CLI verb.
 
-Each suite compares a closed form against an independent computation over
-a parameter sweep and reports the number of cases exercised plus the
-first (smallest) failing case.  Closed forms are looked up through the
-module object so a corrupted implementation is observable here.
+Each suite is a generator of cases: it walks a parameter grid
+smallest-first and compares a closed form against an independent
+computation.  One sweep counts the cases and keeps the first (smallest)
+failing one.  Closed forms are looked up through the module object so a
+corrupted implementation is observable here.
 """
 
 from __future__ import annotations
@@ -25,11 +26,6 @@ class SuiteResult:
     cases: int = 0
     failures: list[str] = field(default_factory=list)
 
-    def record(self, detail: str) -> None:
-        # keep only the first failure; sweeps run smallest-first so it is minimal
-        if not self.failures:
-            self.failures.append(detail)
-
 
 @dataclass
 class CheckReport:
@@ -49,22 +45,27 @@ class CheckReport:
         return not self.failures
 
 
-def _case1_suite(n_max: int) -> SuiteResult:
-    out = SuiteResult("case1-vs-laplace")
-    for n in range(1, n_max + 1):
-        for k in range(1, n + 1):
-            for a, b in AB_PAIRS:
-                spec = band.BandSpec(n, k, 1, a, b)
-                got = band.det_case1(n, k, Integer(a), Integer(b))
-                want = det_laplace(band.materialize(spec))
-                out.cases += 1
-                if got != want:
-                    out.record(f"n={n} k={k} l=1 a={a} b={b} expected={want} got={got}")
+def _sweep(name: str, cases) -> SuiteResult:
+    """Run a suite's (label, got, want, ok) cases and count them."""
+    out = SuiteResult(name)
+    for label, got, want, ok in cases:
+        out.cases += 1
+        # keep only the first failure; sweeps run smallest-first so it is minimal
+        if not ok and not out.failures:
+            out.failures.append(f"{label} expected={want} got={got}")
     return out
 
 
-def _case2_suite(n_max: int) -> SuiteResult:
-    out = SuiteResult("case2-vs-laplace")
+def _case1_cases(n_max: int):
+    for n in range(1, n_max + 1):
+        for k in range(1, n + 1):
+            for a, b in AB_PAIRS:
+                got = band.det_case1(n, k, Integer(a), Integer(b))
+                want = det_laplace(band.materialize(band.BandSpec(n, k, 1, a, b)))
+                yield f"n={n} k={k} l=1 a={a} b={b}", got, want, got == want
+
+
+def _case2_cases(n_max: int):
     for n in range(2, n_max + 1):
         for k in range(2, n + 1):
             for l in range(2, k + 1):
@@ -73,48 +74,33 @@ def _case2_suite(n_max: int) -> SuiteResult:
                     spec = band.BandSpec(n, k, l, a, b)
                     got = band.det_case2(n, k, l, Integer(a), Integer(b))
                     want = det_laplace(band.materialize(spec))
-                    out.cases += 1
-                    if got != want or (1 < p < k + l - 1 and got != Integer(0)):
-                        out.record(
-                            f"n={n} k={k} l={l} a={a} b={b} expected={want} got={got}"
-                        )
-    return out
+                    # the paper's claim, apart from agreement: 1 < p < k+l-1 gives 0
+                    ok = got == want and (p <= 1 or got == Integer(0))
+                    yield f"n={n} k={k} l={l} a={a} b={b}", got, want, ok
 
 
-def _recurrence_suite(n_max: int) -> SuiteResult:
-    out = SuiteResult("recurrence-vs-case1")
+def _recurrence_cases(n_max: int):
     for n in range(1, n_max + 1):
         for k in range(1, n + 1):
             for a, b in ((1, 0), (0, 1), (2, 5), (-1, 2)):
                 got = band.det_recurrence(n, k, Integer(a), Integer(b))
                 want = band.det_case1(n, k, Integer(a), Integer(b))
-                out.cases += 1
-                if got != want:
-                    out.record(f"n={n} k={k} l=1 a={a} b={b} expected={want} got={got}")
-    return out
+                yield f"n={n} k={k} l=1 a={a} b={b}", got, want, got == want
 
 
-def _fg_suite(n_max: int) -> SuiteResult:
-    out = SuiteResult("fg-closed-vs-laplace")
+def _fg_cases(n_max: int):
     for n in range(1, n_max + 1):
         for a, b in ((2, 5), (1, 0), (-1, 2)):
-            got_g = band.g_closed(n, Integer(a), Integer(b))
-            want_g = det_laplace(band.materialize(band.BandSpec(n, n, 1, a, b)))
-            out.cases += 1
-            if got_g != want_g:
-                out.record(f"g: n={n} a={a} b={b} expected={want_g} got={got_g}")
-            widths = range(1, n) if n > 1 else (1,)
-            for k in widths:
-                got_f = band.f_closed(n, Integer(a), Integer(b))
-                want_f = det_laplace(band.bordered_matrix(n, k, a, b))
-                out.cases += 1
-                if got_f != want_f:
-                    out.record(f"f: n={n} k={k} a={a} b={b} expected={want_f} got={got_f}")
-    return out
+            got = band.g_closed(n, Integer(a), Integer(b))
+            want = det_laplace(band.materialize(band.BandSpec(n, n, 1, a, b)))
+            yield f"g: n={n} a={a} b={b}", got, want, got == want
+            for k in range(1, n) if n > 1 else (1,):
+                got = band.f_closed(n, Integer(a), Integer(b))
+                want = det_laplace(band.bordered_matrix(n, k, a, b))
+                yield f"f: n={n} k={k} a={a} b={b}", got, want, got == want
 
 
-def _row_count_suite(n_max: int) -> SuiteResult:
-    out = SuiteResult("all-b-rows-vs-scan")
+def _row_count_cases(n_max: int):
     for n in range(1, n_max + 1):
         for k in range(1, n + 1):
             for l in range(1, k + 1):
@@ -122,51 +108,41 @@ def _row_count_suite(n_max: int) -> SuiteResult:
                 m = band.materialize(spec)
                 scan = sum(1 for row in m.rows if all(e == spec.b for e in row))
                 got = band.all_b_row_count(spec)
-                out.cases += 1
-                if got != scan:
-                    out.record(f"n={n} k={k} l={l} expected={scan} got={got}")
-    return out
+                yield f"n={n} k={k} l={l}", got, scan, got == scan
 
 
-def _parity_suite(n_max: int) -> SuiteResult:
-    out = SuiteResult("parity-vs-enumeration")
+def _parity_cases(n_max: int):
     for n in range(1, n_max + 1):
         for name, mk in (("A", permcount.menage_a_matrix), ("B", permcount.menage_b_matrix)):
             A = mk(n)
             got = permcount.parity_counts(A)
             want = permcount.brute_force_parity(A)
-            out.cases += 1
-            if got != want:
-                out.record(f"family={name} n={n} expected={want} got={got}")
-    return out
+            yield f"family={name} n={n}", got, want, got == want
 
 
-def _census_suite(n_max: int) -> SuiteResult:
-    out = SuiteResult("excedance-census-vs-enumeration")
+def _census_cases(n_max: int):
     for n in range(1, n_max + 1):
         got = permcount.excedance_census(n)
         want = permcount.brute_force_excedance_census(n)
-        out.cases += 1
-        if got != want:
-            out.record(f"n={n} expected={want} got={got}")
-    return out
+        yield f"n={n}", got, want, got == want
+
+
+# orders per level: closed forms vs Laplace, f/g lemmas, parity and census enumeration
+_LEVELS = {"quick": (7, 6, 6, 5), "full": (9, 8, 9, 9)}
 
 
 def run_checks(level: str = "quick") -> CheckReport:
     """Run every suite at the requested depth and collect the results."""
-    if level not in ("quick", "full"):
+    if level not in _LEVELS:
         raise ValueError(f"unknown level {level!r}")
-    if level == "quick":
-        t_max, enum_max, census_max = 7, 6, 5
-    else:
-        t_max, enum_max, census_max = 9, 9, 9
+    t_max, fg_max, enum_max, census_max = _LEVELS[level]
     suites = [
-        _case1_suite(t_max),
-        _case2_suite(t_max),
-        _recurrence_suite(12),
-        _fg_suite(6 if level == "quick" else 8),
-        _row_count_suite(10),
-        _parity_suite(enum_max),
-        _census_suite(census_max),
+        _sweep("case1-vs-laplace", _case1_cases(t_max)),
+        _sweep("case2-vs-laplace", _case2_cases(t_max)),
+        _sweep("recurrence-vs-case1", _recurrence_cases(12)),
+        _sweep("fg-closed-vs-laplace", _fg_cases(fg_max)),
+        _sweep("all-b-rows-vs-scan", _row_count_cases(10)),
+        _sweep("parity-vs-enumeration", _parity_cases(enum_max)),
+        _sweep("excedance-census-vs-enumeration", _census_cases(census_max)),
     ]
     return CheckReport(level, suites)

@@ -200,8 +200,8 @@ def permanent_ryser(m: DenseMatrix) -> RingElement:
     Ring-agnostic: needs only +, - and *.
     """
     n = m.n
+    check_size("RYSER_INT" if m.is_integer() else "RYSER_POLY", n, "permanent_ryser")
     rows, is_int = _raw_rows(m)
-    check_size("RYSER_INT" if is_int else "RYSER_POLY", n, "permanent_ryser")
     zero = 0 if is_int else Poly()
     sums = [zero] * n
     total = zero

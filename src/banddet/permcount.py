@@ -12,6 +12,7 @@ enumeration for cross-checking.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import permutations
 from math import comb, factorial
 
@@ -336,10 +337,16 @@ def _excedance_k2_row(n: int) -> tuple[int, int, int, int, int]:
     return (n, census.per_coeffs[1], census.det_coeffs[1], census.even[1], census.odd[1])
 
 
-# characteristic matrix and closed-form determinant of each seating family
-_MENAGE = {
-    "menage-a": (menage_a_matrix, menage_a_det),
-    "menage-b": (menage_b_matrix, menage_b_det),
+def _menage_row(matrix, det, n: int) -> tuple[int, int, int, int, int]:
+    pc = ParityCount.split(permanent_ryser(matrix(n).to_dense()).value, det(n))
+    return (n, pc.permanent, pc.determinant, pc.even, pc.odd)
+
+
+# each family's row of order n; a seating family pairs its board with its det
+_ROWS = {
+    "menage-a": partial(_menage_row, menage_a_matrix, menage_a_det),
+    "menage-b": partial(_menage_row, menage_b_matrix, menage_b_det),
+    "excedance-k2": _excedance_k2_row,
 }
 
 
@@ -352,13 +359,7 @@ def family_table(family: str, n_max: int) -> list[tuple[int, int, int, int, int]
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    if family == "excedance-k2":
-        return [_excedance_k2_row(n) for n in range(1, n_max + 1)]
-    if family not in _MENAGE:
+    if family not in _ROWS:
         raise ValueError(f"unknown family {family!r}")
-    matrix, det = _MENAGE[family]
-    rows = []
-    for n in range(1, n_max + 1):
-        pc = ParityCount.split(permanent_ryser(matrix(n).to_dense()).value, det(n))
-        rows.append((n, pc.permanent, pc.determinant, pc.even, pc.odd))
-    return rows
+    # largest order first, so the permanent's size guard refuses before any work
+    return [_ROWS[family](n) for n in range(n_max, 0, -1)][::-1]

@@ -1,7 +1,20 @@
+import operator
+from dataclasses import replace
+
 import pytest
 
-from banddet import band
+from banddet import Integer, band, checks, permcount
 from banddet.checks import run_checks
+
+QUICK_CASES = {
+    "case1-vs-laplace": 560,
+    "case2-vs-laplace": 1120,
+    "recurrence-vs-case1": 312,
+    "fg-closed-vs-laplace": 66,
+    "all-b-rows-vs-scan": 220,
+    "parity-vs-enumeration": 12,
+    "excedance-census-vs-enumeration": 5,
+}
 
 
 def test_quick_level_is_clean():
@@ -11,6 +24,7 @@ def test_quick_level_is_clean():
     names = [s.name for s in report.suites]
     assert "case1-vs-laplace" in names
     assert "case2-vs-laplace" in names
+    assert {s.name: s.cases for s in report.suites} == QUICK_CASES
 
 
 def test_unknown_level_rejected():
@@ -18,28 +32,56 @@ def test_unknown_level_rejected():
         run_checks("exhaustive")
 
 
-def test_corrupted_sign_is_caught(monkeypatch):
-    # flip the sign whenever it matters; the sweep must flag the smallest case
-    real = band.det_case2
+def _one_more(value):
+    return value + value.ring_one()
 
-    def corrupted(n, k, l, a, b):
-        return -real(n, k, l, a, b)
 
-    monkeypatch.setattr(band, "det_case2", corrupted)
+def _two_more_members(pc):
+    # one more even and one more odd member keeps the census self-consistent
+    return replace(pc, even=pc.even + 1, odd=pc.odd + 1, permanent=pc.permanent + 2)
+
+
+def _two_more_at_each_k(census):
+    return replace(
+        census,
+        per_coeffs=tuple(t + 2 for t in census.per_coeffs),
+        even=tuple(e + 1 for e in census.even),
+        odd=tuple(o + 1 for o in census.odd),
+    )
+
+
+# corrupted function: (its module, the change to its result, the suite that
+# must catch it, the smallest case that suite must report)
+CORRUPTIONS = {
+    "det_case1": (band, _one_more, "case1-vs-laplace", "n=1 k=1 l=1 a=-2 b=-1"),
+    # flip the sign whenever it matters
+    "det_case2": (band, operator.neg, "case2-vs-laplace", "n=3 k=2 l=2 a=-2 b=-1"),
+    "det_recurrence": (band, _one_more, "recurrence-vs-case1", "n=1 k=1 l=1 a=1 b=0"),
+    "f_closed": (band, _one_more, "fg-closed-vs-laplace", "f: n=1 k=1 a=2 b=5"),
+    "all_b_row_count": (band, lambda c: c + 1, "all-b-rows-vs-scan", "n=1 k=1 l=1"),
+    "parity_counts": (
+        permcount, _two_more_members, "parity-vs-enumeration", "family=A n=1"
+    ),
+    "excedance_census": (
+        permcount, _two_more_at_each_k, "excedance-census-vs-enumeration", "n=1"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CORRUPTIONS)
+def test_corrupted_suite_is_caught(monkeypatch, name):
+    module, change, suite, smallest = CORRUPTIONS[name]
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: change(real(*args)))
     report = run_checks("quick")
     assert not report.ok
-    first = report.failures[0]
-    assert first.startswith("case2-vs-laplace:")
-    assert "n=" in first and "k=" in first and "l=" in first
+    assert any(s.name == suite and s.failures for s in report.suites)
+    assert report.failures[0].startswith(f"{suite}: {smallest} expected=")
 
 
-def test_corrupted_recurrence_is_caught(monkeypatch):
-    real = band.det_recurrence
-
-    def corrupted(n, k, a, b):
-        value = real(n, k, a, b)
-        return value + value.ring_one()
-
-    monkeypatch.setattr(band, "det_recurrence", corrupted)
-    report = run_checks("quick")
-    assert any(s.name == "recurrence-vs-case1" and s.failures for s in report.suites)
+def test_case2_zero_residues_must_vanish(monkeypatch):
+    # closed form and oracle agree on 1 everywhere, but 1 < p < k+l-1 must give 0
+    monkeypatch.setattr(band, "det_case2", lambda *args: Integer(1))
+    monkeypatch.setattr(checks, "det_laplace", lambda m: Integer(1))
+    (case2,) = [s for s in run_checks("quick").suites if s.name == "case2-vs-laplace"]
+    assert case2.failures == ["n=2 k=2 l=2 a=-2 b=-1 expected=1 got=1"]

@@ -33,6 +33,7 @@ from banddet import (
     weak_excedance_class,
     weak_excedance_count,
 )
+from banddet import permcount
 
 from reference_tables import (
     EXCEDANCE_K2,
@@ -317,3 +318,19 @@ class TestFamilyTables:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             family_table("menage-c", 5)
+
+    @pytest.mark.parametrize("family, n_max", [("menage-a", 25), ("excedance-k2", 8)])
+    def test_guard_refuses_before_any_permanent(self, monkeypatch, family, n_max):
+        # a low polynomial limit keeps the refused excedance table small
+        monkeypatch.setenv("BANDDET_LIMIT_RYSER_POLY", "6")
+        orders = []
+        real = permcount.permanent_ryser
+
+        def counted(m):
+            orders.append(m.n)
+            return real(m)
+
+        monkeypatch.setattr(permcount, "permanent_ryser", counted)
+        with pytest.raises(SizeLimitError):
+            family_table(family, n_max)
+        assert orders == [n_max]
