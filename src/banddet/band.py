@@ -167,10 +167,19 @@ def _residue(n: int, k: int, l: int) -> BandResidue:
     return BandResidue(n % w, n // w, 2)
 
 
-def _case1_factored(n: int, k: int, a: RingElement, b: RingElement) -> FactoredDet:
-    if n < 1 or k < 1:
-        raise ValueError(f"need n >= 1 and k >= 1, got n={n} k={k}")
-    return FactoredDet(1, b - a, n - 1, b + a * _residue(n, k, 1).quotient)
+def _factored(n: int, k: int, l: int, a: RingElement, b: RingElement) -> FactoredDet:
+    """The closed form behind det_case1, det_case2 and det_factored:
+    sign * (b-a)^(n-1) * tail, with case, sign and tail from n's residue."""
+    r = _residue(n, k, l)
+    if r.case == 1:
+        return FactoredDet(1, b - a, n - 1, b + a * r.quotient)
+    if r.p > 1:
+        return FactoredDet(1, b - a, n - 1, a.ring_zero())
+    s = r.quotient
+    # (n-k-l+1)/(k+l-1) = s-1 when p = 0, and (n-1)/(k+l-1) = s when p = 1
+    tail = b + a * (s - 1 if r.p == 0 else s)
+    sign = -1 if ((k - 1) * (l - 1) * s) & 1 else 1
+    return FactoredDet(sign, b - a, n - 1, tail)
 
 
 def det_case1(n: int, k: int, a, b) -> RingElement:
@@ -182,22 +191,9 @@ def det_case1(n: int, k: int, a, b) -> RingElement:
     k > n is allowed: the band window saturates and the value reduces to
     the all-b-triangle form, matching the matrix the window rule gives.
     """
-    return _case1_factored(n, k, as_element(a), as_element(b)).expand()
-
-
-def _case2_factored(
-    n: int, k: int, l: int, a: RingElement, b: RingElement
-) -> FactoredDet:
-    if n < 1 or not 1 < l <= k:
-        raise ValueError(f"need n >= 1 and 1 < l <= k, got n={n} k={k} l={l}")
-    r = _residue(n, k, l)
-    if r.p > 1:
-        return FactoredDet(1, b - a, n - 1, a.ring_zero())
-    s = r.quotient
-    # (n-k-l+1)/(k+l-1) = s-1 when p = 0, and (n-1)/(k+l-1) = s when p = 1
-    tail = b + a * (s - 1 if r.p == 0 else s)
-    sign = -1 if ((k - 1) * (l - 1) * s) & 1 else 1
-    return FactoredDet(sign, b - a, n - 1, tail)
+    if n < 1 or k < 1:
+        raise ValueError(f"need n >= 1 and k >= 1, got n={n} k={k}")
+    return _factored(n, k, 1, as_element(a), as_element(b)).expand()
 
 
 def det_case2(n: int, k: int, l: int, a, b) -> RingElement:
@@ -212,14 +208,14 @@ def det_case2(n: int, k: int, l: int, a, b) -> RingElement:
     without division.  Widths beyond n are allowed; the window rule
     saturates and the formula stays exact.
     """
-    return _case2_factored(n, k, l, as_element(a), as_element(b)).expand()
+    if n < 1 or not 1 < l <= k:
+        raise ValueError(f"need n >= 1 and 1 < l <= k, got n={n} k={k} l={l}")
+    return _factored(n, k, l, as_element(a), as_element(b)).expand()
 
 
 def det_factored(spec: BandSpec) -> FactoredDet:
-    """Structured determinant of the spec, dispatching on l."""
-    if spec.l == 1:
-        return _case1_factored(spec.n, spec.k, spec.a, spec.b)
-    return _case2_factored(spec.n, spec.k, spec.l, spec.a, spec.b)
+    """Structured determinant of the spec."""
+    return _factored(spec.n, spec.k, spec.l, spec.a, spec.b)
 
 
 def det_closed(spec: BandSpec) -> RingElement:

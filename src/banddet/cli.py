@@ -15,7 +15,7 @@ import json
 import sys
 import time
 
-from . import band, checks, permcount
+from . import band, checks, oracle, permcount
 from .errors import MixedRingError, SizeLimitError
 from .oracle import det_bareiss, det_laplace, permanent_expansion, permanent_ryser
 from .rings import element_to_json
@@ -42,6 +42,7 @@ def _cmd_det(args) -> int:
             raise ValueError("--method recurrence applies only to l = 1 specs")
         value = band.det_recurrence(spec.n, spec.k, spec.a, spec.b)
     elif args.method == "laplace":
+        oracle.check_size("LAPLACE", spec.n, "det_laplace")
         value = det_laplace(band.materialize(spec))
     else:
         value = det_bareiss(band.materialize(spec))
@@ -74,11 +75,14 @@ def _cmd_det(args) -> int:
 
 def _cmd_perm(args) -> int:
     spec = band.BandSpec(args.n, args.k, args.l, args.a, args.b)
-    m = band.materialize(spec)
+    # the oracle's size guard runs before the matrix is built, with the
+    # oracle's own name and label: a refusal costs nothing and reads the same
     if args.method == "ryser":
-        value = permanent_ryser(m)
+        oracle.check_size("RYSER_INT", spec.n, "permanent_ryser")
+        value = permanent_ryser(band.materialize(spec))
     else:
-        value = permanent_expansion(m)
+        oracle.check_size("EXPANSION", spec.n, "permanent_expansion")
+        value = permanent_expansion(band.materialize(spec))
     if args.format == "json":
         out = band.spec_to_json(spec)
         out.update(method=args.method, per=element_to_json(value))
@@ -139,6 +143,8 @@ def _cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
     if not sizes or any(n < 1 for n in sizes):
         raise ValueError("sizes must be positive integers, comma-separated")
+    if args.method == "laplace":
+        oracle.check_size("LAPLACE", max(sizes), "det_laplace")
     print("n,closed_seconds,method,method_seconds,agree")
     for n in sizes:
         # the window saturates at the matrix edge, so clamping keeps the matrix
@@ -160,6 +166,17 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _add_spec_flags(p, methods) -> None:
+    """The flags of a verb that reads one band spec: the spec itself, the
+    method (the first one is the default) and the output format."""
+    for flag in ("--n", "--k", "--l"):
+        p.add_argument(flag, type=int, required=True)
+    p.add_argument("--a", type=int, required=True, help="off-band value")
+    p.add_argument("--b", type=int, required=True, help="in-band value")
+    p.add_argument("--method", choices=methods, default=methods[0])
+    p.add_argument("--format", choices=("text", "json"), default="text")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="banddet",
@@ -169,27 +186,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("det", help="determinant of a band spec")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--a", type=int, required=True, help="off-band value")
-    p.add_argument("--b", type=int, required=True, help="in-band value")
-    p.add_argument(
-        "--method",
-        choices=("closed", "recurrence", "laplace", "bareiss"),
-        default="closed",
-    )
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    _add_spec_flags(p, ("closed", "recurrence", "laplace", "bareiss"))
     p.set_defaults(handler=_cmd_det)
 
     p = sub.add_parser("perm", help="permanent of a band spec")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--method", choices=("ryser", "expansion"), default="ryser")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    _add_spec_flags(p, ("ryser", "expansion"))
     p.set_defaults(handler=_cmd_perm)
 
     p = sub.add_parser("table", help="census table of a named family")

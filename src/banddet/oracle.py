@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .errors import InexactDivisionError, SizeLimitError
-from .rings import Integer, Poly, RingElement, as_element
+from .rings import Integer, RingElement, as_element
 
 __all__ = [
     "DenseMatrix",
@@ -91,15 +91,14 @@ class DenseMatrix:
 
 
 def _raw_rows(m: DenseMatrix):
-    """Unwrap to plain ints for the integer ring (fast path); polynomials
+    """The rows in the ring an oracle computes in, that ring's zero and
+    one, and the function that wraps a result back into a ring element.
+    The integer ring is unwrapped to plain ints (fast path); polynomials
     are used as-is since they overload the arithmetic operators."""
     if m.is_integer():
-        return [[e.value for e in row] for row in m.rows], True
-    return [list(row) for row in m.rows], False
-
-
-def _wrap(value, is_int: bool) -> RingElement:
-    return Integer(value) if is_int else value
+        return [[e.value for e in row] for row in m.rows], 0, 1, Integer
+    one = m.rows[0][0].ring_one()
+    return [list(row) for row in m.rows], one.ring_zero(), one, lambda x: x
 
 
 def det_laplace(m: DenseMatrix) -> RingElement:
@@ -110,9 +109,7 @@ def det_laplace(m: DenseMatrix) -> RingElement:
     """
     n = m.n
     check_size("LAPLACE", n, "det_laplace")
-    rows, is_int = _raw_rows(m)
-    zero = 0 if is_int else Poly()
-    one = 1 if is_int else Poly.constant(1)
+    rows, zero, one, wrap = _raw_rows(m)
     memo: dict[int, object] = {}
 
     def expand(mask: int):
@@ -139,7 +136,7 @@ def det_laplace(m: DenseMatrix) -> RingElement:
         memo[mask] = total
         return total
 
-    return _wrap(expand((1 << n) - 1), is_int)
+    return wrap(expand((1 << n) - 1))
 
 
 def _exact_div(x: int, d: int) -> int:
@@ -159,8 +156,6 @@ def det_bareiss(m: DenseMatrix) -> Integer:
         raise TypeError("det_bareiss requires the integer ring")
     n = m.n
     a = [[e.value for e in row] for row in m.rows]
-    if n == 1:
-        return Integer(a[0][0])
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -201,8 +196,7 @@ def permanent_ryser(m: DenseMatrix) -> RingElement:
     """
     n = m.n
     check_size("RYSER_INT" if m.is_integer() else "RYSER_POLY", n, "permanent_ryser")
-    rows, is_int = _raw_rows(m)
-    zero = 0 if is_int else Poly()
+    rows, zero, _, wrap = _raw_rows(m)
     sums = [zero] * n
     total = zero
     size = 0
@@ -224,7 +218,7 @@ def permanent_ryser(m: DenseMatrix) -> RingElement:
             total = total - prod
         else:
             total = total + prod
-    return _wrap(total, is_int)
+    return wrap(total)
 
 
 def permanent_expansion(m: DenseMatrix) -> RingElement:
@@ -234,12 +228,10 @@ def permanent_expansion(m: DenseMatrix) -> RingElement:
     """
     n = m.n
     check_size("EXPANSION", n, "permanent_expansion")
-    rows, is_int = _raw_rows(m)
-    zero = 0 if is_int else Poly()
-    total = zero
+    rows, total, _, wrap = _raw_rows(m)
     for perm in permutations(range(n)):
         prod = rows[0][perm[0]]
         for i in range(1, n):
             prod = prod * rows[i][perm[i]]
         total = total + prod
-    return _wrap(total, is_int)
+    return wrap(total)

@@ -28,7 +28,7 @@ from .oracle import (
     det_bareiss,
     permanent_ryser,
 )
-from .rings import Integer, Poly
+from .rings import Poly
 
 __all__ = [
     "CharMatrix",
@@ -77,9 +77,7 @@ class CharMatrix:
         return self.bits[i]
 
     def to_dense(self) -> DenseMatrix:
-        return DenseMatrix(
-            tuple(tuple(Integer(e) for e in row) for row in self.bits)
-        )
+        return DenseMatrix.from_rows(self.bits)
 
 
 @dataclass(frozen=True)
@@ -223,13 +221,15 @@ def menage_b_det(n: int) -> int:
     return (n - 1) // 3
 
 
+def _excedance_spec(n: int) -> BandSpec:
+    """The k = n spec: the variable b on and above the diagonal, 1 below."""
+    return BandSpec(n, n, 1, Poly.constant(1), Poly.variable())
+
+
 def excedance_matrix(n: int) -> DenseMatrix:
-    """Polynomial-ring matrix with the variable b on and above the main
-    diagonal and 1 below; its permanent counts permutations by their
-    number of weak excedances."""
-    if n < 1:
-        raise ValueError("order must be positive")
-    return materialize(BandSpec(n, n, 1, Poly.constant(1), Poly.variable()))
+    """Polynomial-ring matrix of the weak-excedance spec; its permanent
+    counts permutations by their number of weak excedances."""
+    return materialize(_excedance_spec(n))
 
 
 @dataclass(frozen=True)
@@ -252,16 +252,9 @@ class ExcedanceCensus:
         for t in (self.per_coeffs, self.det_coeffs, self.even, self.odd):
             if len(t) != n:
                 raise ValueError("coefficient tuples must have length n")
-        for i in range(n):
-            k = i + 1
-            t, c, e, o = (
-                self.per_coeffs[i],
-                self.det_coeffs[i],
-                self.even[i],
-                self.odd[i],
-            )
-            if e < 0 or o < 0 or e + o != t or e - o != c:
-                raise ParityError(f"inconsistent census at n={n} k={k}")
+        rows = zip(self.per_coeffs, self.det_coeffs, self.even, self.odd)
+        for k, (t, c, e, o) in enumerate(rows, start=1):
+            ParityCount(e, o, t, c)
             want = comb(n - 1, k - 1) if (n - k) % 2 == 0 else -comb(n - 1, k - 1)
             if c != want:
                 raise ParityError(
@@ -272,10 +265,11 @@ class ExcedanceCensus:
 def excedance_census(n: int) -> ExcedanceCensus:
     """Census from the permanent and determinant of the weak-excedance
     matrix: the k-th coefficients give class size and even-odd gap."""
-    per = permanent_ryser(excedance_matrix(n))
+    spec = _excedance_spec(n)
+    per = permanent_ryser(materialize(spec))
     if per.coeff(0) != 0:
         raise ParityError("permutation with no weak excedance counted")
-    det = det_closed(BandSpec(n, n, 1, Poly.constant(1), Poly.variable()))
+    det = det_closed(spec)
     per_coeffs = tuple(per.coeff(k) for k in range(1, n + 1))
     det_coeffs = tuple(det.coeff(k) for k in range(1, n + 1))
     counts = [ParityCount.split(t, c) for t, c in zip(per_coeffs, det_coeffs)]
@@ -293,7 +287,7 @@ def brute_force_excedance_census(n: int) -> ExcedanceCensus:
     even = [0] * n
     odd = [0] * n
     for perm in permutations(range(n)):
-        k = sum(1 for i, v in enumerate(perm) if v >= i)
+        k = _weak_excedances(perm, 0)
         if perm_sign(perm) > 0:
             even[k - 1] += 1
         else:
@@ -312,11 +306,15 @@ def _validate_one_line(perm) -> tuple[int, ...]:
     return p
 
 
+def _weak_excedances(perm, start: int) -> int:
+    """Number of positions i with pi(i) >= i, counting i from `start`."""
+    return sum(1 for i, v in enumerate(perm, start) if v >= i)
+
+
 def weak_excedance_count(perm) -> int:
     """Number of positions i with pi(i) >= i; perm in 1-based one-line
     notation, e.g. (1, 4, 2, 3)."""
-    p = _validate_one_line(perm)
-    return sum(1 for i, v in enumerate(p, start=1) if v >= i)
+    return _weak_excedances(_validate_one_line(perm), 1)
 
 
 def weak_excedance_class(n: int, count: int) -> list[tuple[int, ...]]:
@@ -325,7 +323,7 @@ def weak_excedance_class(n: int, count: int) -> list[tuple[int, ...]]:
     check_size("CENSUS_ENUM", n, "weak_excedance_class")
     out = []
     for perm in permutations(range(1, n + 1)):
-        if sum(1 for i, v in enumerate(perm, start=1) if v >= i) == count:
+        if _weak_excedances(perm, 1) == count:
             out.append(perm)
     return out
 

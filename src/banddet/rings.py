@@ -98,10 +98,7 @@ class Integer(RingElement):
         _require_same_ring(self, other, "multiply")
         return Integer(self.value * other.value)
 
-    def __rmul__(self, other: int) -> "Integer":
-        if isinstance(other, int):
-            return Integer(other * self.value)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Integer":
         if exponent < 0:
@@ -186,10 +183,7 @@ class Poly(RingElement):
                     out[i + j] += ci * cj
         return Poly(tuple(out))
 
-    def __rmul__(self, other: int) -> "Poly":
-        if isinstance(other, int):
-            return Poly(tuple(other * c for c in self.coeffs))
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __str__(self) -> str:
         if not self.coeffs:

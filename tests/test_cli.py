@@ -221,3 +221,143 @@ class TestBench:
     def test_bad_sizes(self, capsys):
         code, _, err = run(capsys, "bench", "0")
         assert code == 2
+
+
+def _no_matrix(spec):
+    raise AssertionError("a refused run must not build the matrix")
+
+
+class TestGuardsBeforeMatrix:
+    @pytest.fixture(autouse=True)
+    def default_limits(self, monkeypatch):
+        for name in ("LAPLACE", "RYSER_INT", "EXPANSION"):
+            monkeypatch.delenv(f"BANDDET_LIMIT_{name}", raising=False)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("perm", "--method", "ryser"),
+                "permanent_ryser refuses order 3000 (limit 20; "
+                "set BANDDET_LIMIT_RYSER_INT to override)",
+            ),
+            (
+                ("perm", "--method", "expansion"),
+                "permanent_expansion refuses order 3000 (limit 9; "
+                "set BANDDET_LIMIT_EXPANSION to override)",
+            ),
+            (
+                ("det", "--method", "laplace"),
+                "det_laplace refuses order 3000 (limit 12; "
+                "set BANDDET_LIMIT_LAPLACE to override)",
+            ),
+        ],
+        ids=["perm-ryser", "perm-expansion", "det-laplace"],
+    )
+    def test_refuses_without_building_the_matrix(self, capsys, monkeypatch, argv, message):
+        monkeypatch.setattr(band, "materialize", _no_matrix)
+        spec = ("--n", "3000", "--k", "2", "--l", "1", "--a", "1", "--b", "0")
+        code, out, err = run(capsys, *argv, *spec)
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_bench_refuses_before_printing(self, capsys):
+        code, out, err = run(capsys, "bench", "4,20", "--method", "laplace")
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: det_laplace refuses order 20 (limit 12; "
+            "set BANDDET_LIMIT_LAPLACE to override)\n"
+        )
+
+
+# exact stdout and exit code of successful runs, pinned byte for byte
+GOLDEN = [
+    ("det --n 8 --k 3 --l 1 --a 1 --b 2", 0,
+     "spec: n=8 k=3 l=1 a=1 b=2\ncase: 1 (l=1), p=2, quotient=2\nmethod: closed\n"
+     "factored: (1)^7 * 4\ndet: 4\n"),
+    ("det --n 8 --k 3 --l 1 --a 1 --b 2 --format json", 0,
+     '{"n": 8, "k": 3, "l": 1, "a": "1", "b": "2", "case": 1, "p": 2, "quotient": 2, '
+     '"method": "closed", "det": "4", "factored": "(1)^7 * 4"}\n'),
+    ("det --n 5 --k 5 --l 1 --a 1 --b 0", 0,
+     "spec: n=5 k=5 l=1 a=1 b=0\ncase: 1 (l=1), p=5, quotient=0\nmethod: closed\n"
+     "factored: (-1)^4 * 0\ndet: 0\n"),
+    ("det --n 7 --k 3 --l 1 --a -3 --b 2", 0,
+     "spec: n=7 k=3 l=1 a=-3 b=2\ncase: 1 (l=1), p=1, quotient=2\nmethod: closed\n"
+     "factored: (5)^6 * -4\ndet: -62500\n"),
+    ("det --n 10 --k 2 --l 2 --a 1 --b 0", 0,
+     "spec: n=10 k=2 l=2 a=1 b=0\ncase: 2 (l>1), p=1, quotient=3\nmethod: closed\n"
+     "factored: -1 * (-1)^9 * 3\ndet: 3\n"),
+    ("det --n 10 --k 2 --l 2 --a 1 --b 0 --format json", 0,
+     '{"n": 10, "k": 2, "l": 2, "a": "1", "b": "0", "case": 2, "p": 1, "quotient": 3, '
+     '"method": "closed", "det": "3", "factored": "-1 * (-1)^9 * 3"}\n'),
+    ("det --n 8 --k 3 --l 2 --a 1 --b 2", 0,
+     "spec: n=8 k=3 l=2 a=1 b=2\ncase: 2 (l>1), p=0, quotient=2\nmethod: closed\n"
+     "factored: (1)^7 * 3\ndet: 3\n"),
+    ("det --n 9 --k 3 --l 2 --a 1 --b 0", 0,
+     "spec: n=9 k=3 l=2 a=1 b=0\ncase: 2 (l>1), p=1, quotient=2\nmethod: closed\n"
+     "factored: (-1)^8 * 2\ndet: 2\n"),
+    ("det --n 7 --k 2 --l 3 --a -2 --b 1", 0,
+     "spec: n=7 k=3 l=2 a=-2 b=1\ncase: 2 (l>1), p=3, quotient=1\nmethod: closed\n"
+     "factored: (3)^6 * 0\ndet: 0\n"),
+    ("det --n 7 --k 2 --l 3 --a -2 --b 1 --format json", 0,
+     '{"n": 7, "k": 3, "l": 2, "a": "-2", "b": "1", "case": 2, "p": 3, "quotient": 1, '
+     '"method": "closed", "det": "0", "factored": "(3)^6 * 0"}\n'),
+    ("det --n 8 --k 3 --l 1 --a 1 --b 2 --method recurrence", 0,
+     "spec: n=8 k=3 l=1 a=1 b=2\ncase: 1 (l=1), p=2, quotient=2\nmethod: recurrence\n"
+     "det: 4\n"),
+    ("det --n 8 --k 3 --l 1 --a 1 --b 2 --method recurrence --format json", 0,
+     '{"n": 8, "k": 3, "l": 1, "a": "1", "b": "2", "case": 1, "p": 2, "quotient": 2, '
+     '"method": "recurrence", "det": "4"}\n'),
+    ("det --n 8 --k 3 --l 1 --a 1 --b 2 --method laplace", 0,
+     "spec: n=8 k=3 l=1 a=1 b=2\ncase: 1 (l=1), p=2, quotient=2\nmethod: laplace\n"
+     "det: 4\n"),
+    ("det --n 8 --k 3 --l 2 --a 1 --b 2 --method laplace --format json", 0,
+     '{"n": 8, "k": 3, "l": 2, "a": "1", "b": "2", "case": 2, "p": 0, "quotient": 2, '
+     '"method": "laplace", "det": "3"}\n'),
+    ("det --n 8 --k 3 --l 2 --a 1 --b 2 --method bareiss", 0,
+     "spec: n=8 k=3 l=2 a=1 b=2\ncase: 2 (l>1), p=0, quotient=2\nmethod: bareiss\n"
+     "det: 3\n"),
+    ("det --n 8 --k 3 --l 2 --a 1 --b 2 --method bareiss --format json", 0,
+     '{"n": 8, "k": 3, "l": 2, "a": "1", "b": "2", "case": 2, "p": 0, "quotient": 2, '
+     '"method": "bareiss", "det": "3"}\n'),
+    ("perm --n 6 --k 2 --l 2 --a 1 --b 0", 0,
+     "spec: n=6 k=2 l=2 a=1 b=0\nmethod: ryser\nper: 29\n"),
+    ("perm --n 6 --k 2 --l 2 --a 1 --b 0 --method expansion", 0,
+     "spec: n=6 k=2 l=2 a=1 b=0\nmethod: expansion\nper: 29\n"),
+    ("perm --n 5 --k 2 --l 1 --a -1 --b 2 --format json", 0,
+     '{"n": 5, "k": 2, "l": 1, "a": "-1", "b": "2", "method": "ryser", "per": "-66"}\n'),
+    ("table menage-a 6", 0,
+     "n,per,det,even,odd\n1,0,0,0,0\n2,0,0,0,0\n3,1,1,1,0\n4,3,-1,1,2\n"
+     "5,16,2,9,7\n6,96,-2,47,49\n"),
+    ("table menage-b 6", 0,
+     "n,per,det,even,odd\n1,0,0,0,0\n2,0,0,0,0\n3,0,0,0,0\n4,1,1,1,0\n"
+     "5,4,0,2,2\n6,29,-1,14,15\n"),
+    ("table excedance-k2 6", 0,
+     "n,T,c,even,odd\n1,0,0,0,0\n2,1,1,1,0\n3,4,-2,1,3\n4,11,3,7,4\n"
+     "5,26,-4,11,15\n6,57,5,31,26\n"),
+    ("table menage-a 5 --format json", 0,
+     '{"n": 1, "per": "0", "det": "0", "even": "0", "odd": "0"}\n'
+     '{"n": 2, "per": "0", "det": "0", "even": "0", "odd": "0"}\n'
+     '{"n": 3, "per": "1", "det": "1", "even": "1", "odd": "0"}\n'
+     '{"n": 4, "per": "3", "det": "-1", "even": "1", "odd": "2"}\n'
+     '{"n": 5, "per": "16", "det": "2", "even": "9", "odd": "7"}\n'),
+    ("census --n 5", 0,
+     "k,T,c,even,odd\n1,1,1,1,0\n2,26,-4,11,15\n3,66,6,36,30\n4,26,-4,11,15\n5,1,1,1,0\n"),
+    ("census --n 4 --format json", 0,
+     '{"n": 4, "k": 1, "T": "1", "c": "-1", "even": "0", "odd": "1"}\n'
+     '{"n": 4, "k": 2, "T": "11", "c": "3", "even": "7", "odd": "4"}\n'
+     '{"n": 4, "k": 3, "T": "11", "c": "-3", "even": "4", "odd": "7"}\n'
+     '{"n": 4, "k": 4, "T": "1", "c": "1", "even": "1", "odd": "0"}\n'),
+    ("check --level quick", 0,
+     "case1-vs-laplace: 560 cases, 0 failures\ncase2-vs-laplace: 1120 cases, 0 failures\n"
+     "recurrence-vs-case1: 312 cases, 0 failures\nfg-closed-vs-laplace: 66 cases, 0 failures\n"
+     "all-b-rows-vs-scan: 220 cases, 0 failures\nparity-vs-enumeration: 12 cases, 0 failures\n"
+     "excedance-census-vs-enumeration: 5 cases, 0 failures\ntotal: 2295 cases at level quick\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_golden_stdout(capsys, argv, code, stdout):
+    assert run(capsys, *argv.split())[:2] == (code, stdout)

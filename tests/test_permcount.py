@@ -5,6 +5,7 @@ import pytest
 from banddet import (
     BandSpec,
     CharMatrix,
+    ExcedanceCensus,
     InexactDivisionError,
     InvalidPermutationError,
     ParityCount,
@@ -263,6 +264,17 @@ class TestExcedanceCensus:
             for k in range(1, n + 1):
                 want = (-1) ** (n - k) * comb(n - 1, k - 1)
                 assert census.det_coeffs[k - 1] == want
+
+    def test_inconsistent_census_rejected(self):
+        # order 3: T = (1, 4, 1), c = (1, -2, 1), even = (1, 1, 1), odd = (0, 3, 0)
+        census = ExcedanceCensus(3, (1, 4, 1), (1, -2, 1), (1, 1, 1), (0, 3, 0))
+        assert census == brute_force_excedance_census(3)
+        with pytest.raises(ParityError, match="even \\+ odd != per"):
+            ExcedanceCensus(3, (1, 4, 1), (1, -2, 1), (1, 2, 1), (0, 3, 0))
+        with pytest.raises(ParityError, match="negative count"):
+            ExcedanceCensus(3, (1, 0, 1), (1, -2, 1), (1, -1, 1), (0, 1, 0))
+        with pytest.raises(ParityError, match="C\\(n-1,k-1\\)"):
+            ExcedanceCensus(3, (1, 4, 1), (1, 2, 1), (1, 3, 1), (0, 1, 0))
 
 
 class TestWeakExcedances:
