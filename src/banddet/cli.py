@@ -17,7 +17,6 @@ import time
 
 from . import band, checks, oracle, permcount
 from .errors import MixedRingError, SizeLimitError
-from .oracle import det_bareiss, det_laplace, permanent_expansion, permanent_ryser
 from .rings import element_to_json
 
 EXIT_OK = 0
@@ -43,9 +42,9 @@ def _cmd_det(args) -> int:
         value = band.det_recurrence(spec.n, spec.k, spec.a, spec.b)
     elif args.method == "laplace":
         oracle.check_size("LAPLACE", spec.n, "det_laplace")
-        value = det_laplace(band.materialize(spec))
+        value = oracle.det_laplace(band.materialize(spec))
     else:
-        value = det_bareiss(band.materialize(spec))
+        value = oracle.det_bareiss(band.materialize(spec))
     # the whole answer is rendered before anything is printed, so a
     # render error leaves stdout empty
     if args.format == "json":
@@ -79,10 +78,10 @@ def _cmd_perm(args) -> int:
     # oracle's own name and label: a refusal costs nothing and reads the same
     if args.method == "ryser":
         oracle.check_size("RYSER_INT", spec.n, "permanent_ryser")
-        value = permanent_ryser(band.materialize(spec))
+        value = oracle.permanent_ryser(band.materialize(spec))
     else:
         oracle.check_size("EXPANSION", spec.n, "permanent_expansion")
-        value = permanent_expansion(band.materialize(spec))
+        value = oracle.permanent_expansion(band.materialize(spec))
     if args.format == "json":
         out = band.spec_to_json(spec)
         out.update(method=args.method, per=element_to_json(value))
@@ -145,7 +144,8 @@ def _cmd_bench(args) -> int:
         raise ValueError("sizes must be positive integers, comma-separated")
     if args.method == "laplace":
         oracle.check_size("LAPLACE", max(sizes), "det_laplace")
-    print("n,closed_seconds,method,method_seconds,agree")
+    # printed once, after every order agrees: a disagreement leaves stdout empty
+    lines = ["n,closed_seconds,method,method_seconds,agree"]
     for n in sizes:
         # the window saturates at the matrix edge, so clamping keeps the matrix
         spec = band.BandSpec(n, min(args.k, n), min(args.l, n), args.a, args.b)
@@ -155,14 +155,15 @@ def _cmd_bench(args) -> int:
         m = band.materialize(spec)
         t0 = time.perf_counter()
         if args.method == "laplace":
-            other = det_laplace(m)
+            other = oracle.det_laplace(m)
         else:
-            other = det_bareiss(m)
+            other = oracle.det_bareiss(m)
         t_other = time.perf_counter() - t0
-        agree = closed == other
-        print(f"{n},{t_closed:.6f},{args.method},{t_other:.6f},{str(agree).lower()}")
-        if not agree:
-            raise AssertionError(f"methods disagree at n={n}")
+        if closed != other:
+            print(f"error: methods disagree at n={n}", file=sys.stderr)
+            return EXIT_CHECK_FAILED
+        lines.append(f"{n},{t_closed:.6f},{args.method},{t_other:.6f},true")
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -23,7 +23,6 @@ __all__ = [
     "det_bareiss",
     "permanent_ryser",
     "permanent_expansion",
-    "size_limit",
 ]
 
 _DEFAULT_LIMITS = {
@@ -155,7 +154,7 @@ def det_bareiss(m: DenseMatrix) -> Integer:
     if not m.is_integer():
         raise TypeError("det_bareiss requires the integer ring")
     n = m.n
-    a = [[e.value for e in row] for row in m.rows]
+    a, _, _, wrap = _raw_rows(m)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -166,7 +165,7 @@ def det_bareiss(m: DenseMatrix) -> Integer:
                     sign = -sign
                     break
             else:
-                return Integer(0)
+                return wrap(0)
         pk = a[k][k]
         rowk = a[k]
         rng = range(k + 1, n)
@@ -181,7 +180,7 @@ def det_bareiss(m: DenseMatrix) -> Integer:
                 tail = [_exact_div(pk * rowi[j] - f * rowk[j], prev) for j in rng]
             rowi[k + 1 :] = tail
         prev = pk
-    return Integer(sign * a[n - 1][n - 1])
+    return wrap(sign * a[n - 1][n - 1])
 
 
 def permanent_ryser(m: DenseMatrix) -> RingElement:

@@ -249,6 +249,8 @@ class ExcedanceCensus:
 
     def __post_init__(self) -> None:
         n = self.n
+        if n < 1:
+            raise ValueError("order n must be positive")
         for t in (self.per_coeffs, self.det_coeffs, self.even, self.odd):
             if len(t) != n:
                 raise ValueError("coefficient tuples must have length n")
@@ -272,9 +274,9 @@ def excedance_census(n: int) -> ExcedanceCensus:
     det = det_closed(spec)
     per_coeffs = tuple(per.coeff(k) for k in range(1, n + 1))
     det_coeffs = tuple(det.coeff(k) for k in range(1, n + 1))
-    counts = [ParityCount.split(t, c) for t, c in zip(per_coeffs, det_coeffs)]
-    even = tuple(pc.even for pc in counts)
-    odd = tuple(pc.odd for pc in counts)
+    # an odd per + det floors to a pair that the census rejects as even + odd != per
+    even = tuple((t + c) // 2 for t, c in zip(per_coeffs, det_coeffs))
+    odd = tuple((t - c) // 2 for t, c in zip(per_coeffs, det_coeffs))
     return ExcedanceCensus(n, per_coeffs, det_coeffs, even, odd)
 
 

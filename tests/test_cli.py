@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -222,6 +225,19 @@ class TestBench:
         code, _, err = run(capsys, "bench", "0")
         assert code == 2
 
+    def test_disagreement_prints_no_rows(self, capsys, monkeypatch):
+        real = band.det_closed
+
+        def corrupted(spec):
+            value = real(spec)
+            return value + value.ring_one() if spec.n == 9 else value
+
+        monkeypatch.setattr(band, "det_closed", corrupted)
+        code, out, err = run(capsys, "bench", "4,9")
+        assert code == 1
+        assert out == ""
+        assert err == "error: methods disagree at n=9\n"
+
 
 def _no_matrix(spec):
     raise AssertionError("a refused run must not build the matrix")
@@ -361,3 +377,25 @@ GOLDEN = [
 @pytest.mark.parametrize("argv, code, stdout", GOLDEN, ids=[g[0] for g in GOLDEN])
 def test_golden_stdout(capsys, argv, code, stdout):
     assert run(capsys, *argv.split())[:2] == (code, stdout)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ("det --n 8 --k 3 --l 1 --a 1 --b 2", 0),
+        ("census --n 0", 2),
+        ("perm --n 30 --k 2 --l 1 --a 1 --b 0", 3),
+    ],
+    ids=["det", "census-n0", "perm-guard"],
+)
+def test_process_exit_codes(argv, code):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("BANDDET_LIMIT_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "banddet.cli", *argv.split()],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr

@@ -276,6 +276,19 @@ class TestExcedanceCensus:
         with pytest.raises(ParityError, match="C\\(n-1,k-1\\)"):
             ExcedanceCensus(3, (1, 4, 1), (1, 2, 1), (1, 3, 1), (0, 1, 0))
 
+    def test_order_must_be_positive(self):
+        with pytest.raises(ValueError, match="order n must be positive"):
+            ExcedanceCensus(0, (), (), (), ())
+
+    def test_odd_per_plus_det_rejected(self, monkeypatch):
+        # one extra permutation with two weak excedances makes T(4,2) + c(4,2) odd
+        real = permcount.permanent_ryser
+        monkeypatch.setattr(
+            permcount, "permanent_ryser", lambda m: real(m) + Poly.variable() ** 2
+        )
+        with pytest.raises(ParityError, match="even \\+ odd != per"):
+            excedance_census(4)
+
 
 class TestWeakExcedances:
     def test_identity(self):
