@@ -274,10 +274,14 @@ def det_recurrence(n: int, k: int, a, b) -> RingElement:
     m = n
     while 2 * k < m:
         m -= k
-    d = ((b - a) ** (m - 1)) * (b + a)
+    c = b - a
+    step = c**k
+    power = c ** (m - 1)  # (b-a)^(m-1), carried forward as m grows by k
+    d = power * (b + a)
     while m < n:
         m += k
-        d = ((b - a) ** k) * d + ((b - a) ** (m - 1)) * a
+        power = power * step
+        d = step * d + power * a
     return d
 
 

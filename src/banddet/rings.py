@@ -33,6 +33,70 @@ def _require_same_ring(x: "RingElement", y: object, op: str) -> None:
         )
 
 
+def _binomial_coeffs(c0: int, c1: int, e: int) -> list[int]:
+    """Coefficients of (c0 + c1*x)^e, ascending: C(e,j) * c0^(e-j) * c1^j.
+    C(e,j) and the powers of c0 and c1 are carried from term to term."""
+    c0_pows = [1]
+    for _ in range(e):
+        c0_pows.append(c0_pows[-1] * c0)
+    out = []
+    binom = 1
+    c1_pow = 1
+    for j in range(e + 1):
+        out.append(binom * c0_pows[e - j] * c1_pow)
+        binom = binom * (e - j) // (j + 1)
+        c1_pow *= c1
+    return out
+
+
+# below 640 digits, the least int -> str limit the interpreter accepts,
+# str() never refuses: below 2**2048 an int has at most 617 digits
+_PLAIN_STR_BITS = 2048
+
+
+def _int_str(x: int) -> str:
+    """Exact decimal string of any int, whatever the interpreter's int -> str
+    digit limit.  Large values go through stdlib decimal by divide and
+    conquer (the scheme of CPython 3.12's _pylong.int_to_decimal_string):
+    x = hi * 2**w + lo, with hi and lo converted recursively and the powers
+    of two kept in Decimal, so no int -> str conversion of a large int runs."""
+    if x.bit_length() <= _PLAIN_STR_BITS:
+        return str(x)
+    import decimal
+
+    D = decimal.Decimal
+    pow2: dict[int, decimal.Decimal] = {}
+
+    def two_to(w: int) -> decimal.Decimal:
+        result = pow2.get(w)
+        if result is None:
+            if w <= _PLAIN_STR_BITS:
+                result = D(2) ** w
+            elif w - 1 in pow2:
+                result = pow2[w - 1] * 2
+            else:
+                half = w >> 1
+                result = two_to(half) * two_to(w - half)
+            pow2[w] = result
+        return result
+
+    def convert(n: int, w: int) -> decimal.Decimal:
+        if w <= _PLAIN_STR_BITS:
+            return D(n)
+        half = w >> 1
+        hi = n >> half
+        lo = n - (hi << half)
+        return convert(lo, half) + convert(hi, w - half) * two_to(half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True
+        digits = str(convert(abs(x), x.bit_length()))
+    return "-" + digits if x < 0 else digits
+
+
 class RingElement:
     """An immutable element of a supported commutative ring with unit."""
 
@@ -48,9 +112,13 @@ class RingElement:
         raise NotImplementedError
 
     def __pow__(self, exponent: int) -> "RingElement":
-        """Exact power by repeated squaring; x**0 is the ring one."""
+        """Exact power; x**0 is the ring one.  A two-term polynomial
+        c0 + c1*b is expanded by the binomial theorem in O(exponent) scalar
+        products; every other base is raised by repeated squaring."""
         if exponent < 0:
             raise ValueError("exponent must be non-negative")
+        if isinstance(self, Poly) and len(self.coeffs) == 2:
+            return Poly(_binomial_coeffs(*self.coeffs, exponent))
         result = self.ring_one()
         base = self
         e = exponent
@@ -106,7 +174,7 @@ class Integer(RingElement):
         return Integer(self.value**exponent)
 
     def __str__(self) -> str:
-        return str(self.value)
+        return _int_str(self.value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,13 +261,13 @@ class Poly(RingElement):
             c = self.coeffs[k]
             if c == 0:
                 continue
-            mag = abs(c)
+            mag = _int_str(abs(c))
             if k == 0:
-                term = str(mag)
+                term = mag
             elif k == 1:
-                term = "b" if mag == 1 else f"{mag}*b"
+                term = "b" if mag == "1" else f"{mag}*b"
             else:
-                term = f"b^{k}" if mag == 1 else f"{mag}*b^{k}"
+                term = f"b^{k}" if mag == "1" else f"{mag}*b^{k}"
             if not parts:
                 parts.append(f"-{term}" if c < 0 else term)
             else:
@@ -220,9 +288,9 @@ def element_to_json(x: RingElement) -> "str | list[str]":
     """JSON value for an element: integers as decimal strings, polynomials
     as ordered arrays of decimal-string coefficients (index = power)."""
     if isinstance(x, Integer):
-        return str(x.value)
+        return _int_str(x.value)
     if isinstance(x, Poly):
-        return [str(c) for c in x.coeffs]
+        return [_int_str(c) for c in x.coeffs]
     raise TypeError(f"not a ring element: {type(x).__name__}")
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from banddet import band
+from banddet import band, rings
 from banddet.cli import main
 
 from reference_tables import MENAGE_A, MENAGE_B, EXCEDANCE_K2
@@ -67,21 +67,39 @@ class TestDet:
         assert obj["case"] == 2
         assert obj["a"] == "1"
 
-    def test_render_error_prints_no_partial_answer(self, capsys):
-        # det = 2^19999 * 10002 has more digits than int -> str allows at 4300
+    def test_render_error_prints_no_partial_answer(self, capsys, monkeypatch):
+        def fail(x):
+            raise ValueError("cannot render")
+
+        monkeypatch.setattr(rings, "_int_str", fail)
+        for fmt in ("text", "json"):
+            code, out, err = run(
+                capsys, "det", "--n", "20000", "--k", "2", "--l", "1",
+                "--a", "1", "--b", "3", "--format", fmt,
+            )
+            assert code != 0
+            assert out == ""
+            assert "error" in err
+
+    def test_exact_beyond_the_digit_limit(self, capsys):
+        # det = 2^19999 * 10002 has 6025 digits, more than int -> str allows at 4300
         limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(4300)
         try:
-            for fmt in ("text", "json"):
-                code, out, err = run(
+            sys.set_int_max_str_digits(4300)
+            (code, text, _), (code_json, js, _) = [
+                run(
                     capsys, "det", "--n", "20000", "--k", "2", "--l", "1",
                     "--a", "1", "--b", "3", "--format", fmt,
                 )
-                assert code != 0
-                assert out == ""
-                assert "error" in err
+                for fmt in ("text", "json")
+            ]
+            sys.set_int_max_str_digits(0)
+            want = str(2**19999 * 10002)
         finally:
             sys.set_int_max_str_digits(limit)
+        assert code == code_json == 0
+        assert text.splitlines()[-1] == f"det: {want}"
+        assert json.loads(js)["det"] == want
 
     def test_recurrence_requires_l1(self, capsys):
         code, _, err = run(
@@ -388,11 +406,13 @@ SRC = Path(__file__).resolve().parents[1] / "src"
         ("det --n 8 --k 3 --l 1 --a 1 --b 2", 0),
         ("census --n 0", 2),
         ("perm --n 30 --k 2 --l 1 --a 1 --b 0", 3),
+        ("det --n 20000 --k 2 --l 1 --a 1 --b 3", 0),
     ],
-    ids=["det", "census-n0", "perm-guard"],
+    ids=["det", "census-n0", "perm-guard", "det-over-4300-digits"],
 )
 def test_process_exit_codes(argv, code):
     env = {k: v for k, v in os.environ.items() if not k.startswith("BANDDET_LIMIT_")}
+    env["PYTHONINTMAXSTRDIGITS"] = "4300"  # the interpreter's default
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "banddet.cli", *argv.split()],

@@ -1,14 +1,23 @@
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from banddet import (
+    BandSpec,
     Integer,
     MixedRingError,
     Poly,
     as_element,
+    det_closed,
     element_from_json,
     element_to_json,
 )
+from banddet import rings
 
 ints = st.builds(Integer, st.integers(min_value=-(10**9), max_value=10**9))
 polys = st.builds(
@@ -72,6 +81,30 @@ class TestPow:
             Integer(2) ** -1
         with pytest.raises(ValueError):
             P(0, 1) ** -1
+
+
+big = st.integers(min_value=-(10**40), max_value=10**40)
+
+
+@given(c0=st.one_of(st.just(0), big), c1=big.filter(bool), e=st.integers(0, 64))
+@example(c0=0, c1=1, e=64)
+@example(c0=-(10**40), c1=10**40, e=64)
+@settings(max_examples=80, deadline=None)
+def test_two_term_power_is_repeated_schoolbook_product(c0, c1, e):
+    p = P(c0, c1)
+    want = P(1)
+    for _ in range(e):
+        want = want * p
+    assert p**e == want
+
+
+def test_two_term_power_commutes_with_evaluation():
+    # evaluation is a ring homomorphism: (b-1)^1499 * b over Poly, taken at
+    # v, is the integer closed form at b = v
+    det = det_closed(BandSpec(1500, 1500, 1, Poly((1,)), Poly((0, 1))))
+    assert det.degree == 1500
+    for v in (-7, -1, 0, 2, 3, 10**6):
+        assert det.evaluate(v) == det_closed(BandSpec(1500, 1500, 1, 1, v)).value
 
 
 class TestScalarMul:
@@ -148,6 +181,51 @@ def test_poly_ring_axioms(x, y, z):
     assert x + y == y + x
     assert x * y == y * x
     assert x * (y + z) == x * y + x * z
+
+
+class TestExactRender:
+    """Integers of any size render exactly, under the least int -> str digit
+    limit the interpreter accepts (640)."""
+
+    @pytest.fixture
+    def exact(self):
+        """str() with the digit limit lifted, restored after the test."""
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            yield str
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("bits", [1, 2048, 2049, 4096, 14300, 47500, 100_000])
+    def test_integer_and_json(self, exact, bits):
+        rng = random.Random(bits)
+        for v in (rng.getrandbits(bits) | 1 << (bits - 1), -(1 << bits), (1 << bits) - 1):
+            want = exact(v)
+            sys.set_int_max_str_digits(640)
+            assert rings._int_str(v) == want
+            assert str(Integer(v)) == want
+            assert element_to_json(Integer(v)) == want
+            sys.set_int_max_str_digits(0)
+
+    def test_poly(self, exact):
+        c = 3**20000
+        digits = exact(c)
+        sys.set_int_max_str_digits(640)
+        p = P(-c, 1, c)
+        assert str(p) == f"{digits}*b^2 + b - {digits}"
+        assert element_to_json(p) == ["-" + digits, "1", digits]
+
+    def test_small_values_do_not_import_decimal(self):
+        code = (
+            "import sys; from banddet import Integer, Poly; "
+            "s = str(Integer(1 - 2**2048)) + str(Poly((3, 2**2000))); "
+            "assert 'decimal' not in sys.modules"
+        )
+        subprocess.run(
+            [sys.executable, "-c", code], check=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(rings.__file__).parents[1])},
+        )
 
 
 @given(x=st.one_of(ints, polys), m=st.integers(0, 16), n=st.integers(0, 16))
