@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DivisibilityError, MixedRingError
-from .oracle import DenseMatrix
+from .errors import MixedRingError
+from .oracle import DenseMatrix, _exact_div
 from .rings import RingElement, as_element, element_from_json, element_to_json
 
 __all__ = [
@@ -151,18 +151,11 @@ class FactoredDet:
         return " * ".join(parts)
 
 
-def _int_quotient(num: int, den: int) -> int:
-    q, r = divmod(num, den)
-    if r:
-        raise DivisibilityError(f"{num} is not a multiple of {den}")
-    return q
-
-
 def _residue(n: int, k: int, l: int) -> BandResidue:
     """The residue rule that `residue` reports and both closed forms use."""
     if l == 1:
         p = n % k or k
-        return BandResidue(p, _int_quotient(n - p, k), 1)
+        return BandResidue(p, _exact_div(n - p, k), 1)
     w = k + l - 1
     return BandResidue(n % w, n // w, 2)
 

@@ -2,9 +2,9 @@
 
 Each suite is a generator of cases: it walks a parameter grid
 smallest-first and compares a closed form against an independent
-computation.  One sweep counts the cases and keeps the first (smallest)
-failing one.  Closed forms are looked up through the module object so a
-corrupted implementation is observable here.
+computation.  One sweep counts the cases and keeps every failure, the
+first (smallest) one first.  Closed forms are looked up through the
+module object so a corrupted implementation is observable here.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ def _sweep(name: str, cases) -> SuiteResult:
     out = SuiteResult(name)
     for label, got, want, ok in cases:
         out.cases += 1
-        # keep only the first failure; sweeps run smallest-first so it is minimal
-        if not ok and not out.failures:
+        # suites run smallest-first, so the first failure kept is the minimal one
+        if not ok:
             out.failures.append(f"{label} expected={want} got={got}")
     return out
 

@@ -5,16 +5,12 @@ class MixedRingError(TypeError):
     """Binary operation applied to elements of different rings."""
 
 
-class DivisibilityError(ArithmeticError):
-    """An integer quotient inside a closed form failed to divide exactly.
-
-    Unreachable for valid inputs; raising it means a parameter or
-    transcription bug.
-    """
-
-
 class InexactDivisionError(ArithmeticError):
-    """An exact division left a remainder where none is possible."""
+    """An exact integer division left a remainder: unreachable for valid
+    inputs, so raising it means a parameter or transcription bug."""
+
+
+DivisibilityError = InexactDivisionError  # the closed forms' name for the same fault
 
 
 class SizeLimitError(RuntimeError):

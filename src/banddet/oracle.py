@@ -10,8 +10,10 @@ through ``BANDDET_LIMIT_<NAME>`` environment variables.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
+from functools import reduce
 from itertools import permutations
 
 from .errors import InexactDivisionError, SizeLimitError
@@ -139,6 +141,7 @@ def det_laplace(m: DenseMatrix) -> RingElement:
 
 
 def _exact_div(x: int, d: int) -> int:
+    """x / d where d must divide x; the package's one exact division."""
     q, r = divmod(x, d)
     if r:
         raise InexactDivisionError(f"{x} is not divisible by {d}")
@@ -189,34 +192,22 @@ def permanent_ryser(m: DenseMatrix) -> RingElement:
         per A = (-1)^n * sum over nonempty column subsets S of
                 (-1)^{|S|} * prod_i (sum_{j in S} a_ij)
 
-    Row sums are maintained incrementally along a Gray code, so each of
-    the 2^n - 1 subsets costs one row-sum update plus one n-term product.
-    Ring-agnostic: needs only +, - and *.
+    The subsets run in Gray-code order: each step adds or subtracts the
+    one column whose code bit flips on or off, then takes one n-term
+    product of the row sums.  Ring-agnostic: needs only +, - and *.
     """
     n = m.n
     check_size("RYSER_INT" if m.is_integer() else "RYSER_POLY", n, "permanent_ryser")
-    rows, zero, _, wrap = _raw_rows(m)
+    cols, zero, _, wrap = _raw_rows(m.transpose())
     sums = [zero] * n
     total = zero
-    size = 0
     for g in range(1, 1 << n):
         low = g & -g
-        j = low.bit_length() - 1
-        if (g ^ (g >> 1)) & low:
-            for i in range(n):
-                sums[i] = sums[i] + rows[i][j]
-            size += 1
-        else:
-            for i in range(n):
-                sums[i] = sums[i] - rows[i][j]
-            size -= 1
-        prod = sums[0]
-        for i in range(1, n):
-            prod = prod * sums[i]
-        if (n - size) & 1:
-            total = total - prod
-        else:
-            total = total + prod
+        gray = g ^ (g >> 1)
+        step = operator.add if gray & low else operator.sub
+        sums = list(map(step, sums, cols[low.bit_length() - 1]))
+        prod = reduce(operator.mul, sums)
+        total = total - prod if (n - gray.bit_count()) & 1 else total + prod
     return wrap(total)
 
 

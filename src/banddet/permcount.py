@@ -18,12 +18,12 @@ from math import comb, factorial
 
 from .band import BandSpec, band_rows, det_closed, materialize
 from .errors import (
-    InexactDivisionError,
     InvalidPermutationError,
     ParityError,
 )
 from .oracle import (
     DenseMatrix,
+    _exact_div,
     check_size,
     det_bareiss,
     permanent_ryser,
@@ -173,12 +173,7 @@ def menage_a_permanent_rec(n: int) -> int:
     p_prev2, p_prev = 0, 0
     for m in range(3, n + 1):
         num = (m * m - m - 1) * p_prev + m * p_prev2 + (2 if m & 1 else -2)
-        q, r = divmod(num, m - 1)
-        if r:
-            raise InexactDivisionError(
-                f"recurrence numerator {num} not divisible by {m - 1} at order {m}"
-            )
-        p_prev2, p_prev = p_prev, q
+        p_prev2, p_prev = p_prev, _exact_div(num, m - 1)
     return p_prev
 
 
@@ -195,17 +190,12 @@ def menage_a_permanent_sum(n: int) -> int:
 
 
 def menage_a_det(n: int) -> int:
-    """Determinant of the A family, via both printed forms:
-    (-1)^(n-1) (n-p)/2 with n = p (mod 2), 0 < p <= 2, and
-    (-1)^(n-1) floor((n-1)/2).  The two must agree."""
+    """Determinant of the A family, by the printed residue form
+    (-1)^(n-1) (n-p)/2 with n = p (mod 2), 0 < p <= 2."""
     if n < 1:
         raise ValueError("order must be positive")
     p = 2 if n % 2 == 0 else 1
-    residue_form = (n - p) // 2 if n & 1 else -((n - p) // 2)
-    floor_form = (n - 1) // 2 if n & 1 else -((n - 1) // 2)
-    if residue_form != floor_form:
-        raise ArithmeticError(f"determinant forms disagree at n={n}")
-    return residue_form
+    return (n - p) // 2 if n & 1 else -((n - p) // 2)
 
 
 def menage_b_det(n: int) -> int:
@@ -331,9 +321,9 @@ def weak_excedance_class(n: int, count: int) -> list[tuple[int, ...]]:
 
 
 def _excedance_k2_row(n: int) -> tuple[int, int, int, int, int]:
-    census = excedance_census(n)
     if n < 2:
         return (n, 0, 0, 0, 0)
+    census = excedance_census(n)
     return (n, census.per_coeffs[1], census.det_coeffs[1], census.even[1], census.odd[1])
 
 

@@ -11,6 +11,7 @@ element interface so further rings could be added without touching it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import zip_longest
 
@@ -49,9 +50,10 @@ def _binomial_coeffs(c0: int, c1: int, e: int) -> list[int]:
     return out
 
 
-# below 640 digits, the least int -> str limit the interpreter accepts,
-# str() never refuses: below 2**2048 an int has at most 617 digits
+# below 640 digits, the least int <-> str limit the interpreter accepts,
+# str() and int() never refuse: below 2**2048 an int has at most 617 digits
 _PLAIN_STR_BITS = 2048
+_PLAIN_STR_DIGITS = 617
 
 
 def _int_str(x: int) -> str:
@@ -95,6 +97,28 @@ def _int_str(x: int) -> str:
         ctx.traps[decimal.Inexact] = True
         digits = str(convert(abs(x), x.bit_length()))
     return "-" + digits if x < 0 else digits
+
+
+def _int_parse(s: object) -> int:
+    """The int of a canonical decimal string -?[0-9]+, at any length and
+    whatever the interpreter's str -> int digit limit; anything else raises
+    ValueError.  The inverse of _int_str: long strings are read by divide
+    and conquer, hi * 10**len(lo) + lo, with the powers of ten cached."""
+    if not isinstance(s, str) or re.fullmatch(r"-?[0-9]+", s) is None:
+        raise ValueError(f"not a canonical decimal integer: {s!r}")
+    digits = s.lstrip("-")
+    pow10: dict[int, int] = {}
+
+    def convert(start: int, stop: int) -> int:
+        if stop - start <= _PLAIN_STR_DIGITS:
+            return int(digits[start:stop])
+        w = (stop - start) >> 1
+        if w not in pow10:
+            pow10[w] = 10**w
+        return convert(start, stop - w) * pow10[w] + convert(stop - w, stop)
+
+    x = convert(0, len(digits))
+    return -x if s[0] == "-" else x
 
 
 class RingElement:
@@ -295,9 +319,11 @@ def element_to_json(x: RingElement) -> "str | list[str]":
 
 
 def element_from_json(obj: "str | list[str]") -> RingElement:
-    """Inverse of :func:`element_to_json`; round-trips exactly."""
+    """Inverse of :func:`element_to_json`; round-trips exactly at any size.
+    Each integer must be a canonical decimal string, -?[0-9]+, or
+    ValueError is raised."""
     if isinstance(obj, str):
-        return Integer(int(obj))
+        return Integer(_int_parse(obj))
     if isinstance(obj, list):
-        return Poly(tuple(int(s) for s in obj))
+        return Poly(tuple(_int_parse(s) for s in obj))
     raise TypeError(f"cannot decode ring element from {type(obj).__name__}")

@@ -3,6 +3,7 @@ import pytest
 from banddet import (
     BandSpec,
     DivisibilityError,
+    InexactDivisionError,
     Integer,
     MixedRingError,
     Poly,
@@ -351,8 +352,12 @@ class TestAllBRowCount:
 
 
 def test_divisibility_guard_is_wired():
-    from banddet.band import _int_quotient
+    from banddet.oracle import _exact_div
 
     with pytest.raises(DivisibilityError):
-        _int_quotient(7, 3)
-    assert _int_quotient(-6, 3) == -2
+        _exact_div(7, 3)
+    assert _exact_div(-6, 3) == -2
+
+
+def test_divisibility_error_is_inexact_division():
+    assert DivisibilityError is InexactDivisionError

@@ -5,6 +5,7 @@ import pytest
 
 from banddet import Integer, band, checks, permcount
 from banddet.checks import run_checks
+from banddet.cli import main
 
 QUICK_CASES = {
     "case1-vs-laplace": 560,
@@ -84,4 +85,24 @@ def test_case2_zero_residues_must_vanish(monkeypatch):
     monkeypatch.setattr(band, "det_case2", lambda *args: Integer(1))
     monkeypatch.setattr(checks, "det_laplace", lambda m: Integer(1))
     (case2,) = [s for s in run_checks("quick").suites if s.name == "case2-vs-laplace"]
-    assert case2.failures == ["n=2 k=2 l=2 a=-2 b=-1 expected=1 got=1"]
+    assert case2.failures[0] == "n=2 k=2 l=2 a=-2 b=-1 expected=1 got=1"
+    zero_shapes = [
+        (n, k, l)
+        for n in range(2, 8)
+        for k in range(2, n + 1)
+        for l in range(2, k + 1)
+        if n % (k + l - 1) > 1
+    ]
+    assert len(case2.failures) == len(zero_shapes) * len(checks.AB_PAIRS) == 780
+
+
+def test_every_failing_case_is_counted(monkeypatch, capsys):
+    real = band.det_case1
+    monkeypatch.setattr(band, "det_case1", lambda *args: _one_more(real(*args)))
+    failures = {s.name: len(s.failures) for s in run_checks("quick").suites}
+    assert failures["case1-vs-laplace"] == QUICK_CASES["case1-vs-laplace"] == 560
+    assert failures["recurrence-vs-case1"] == QUICK_CASES["recurrence-vs-case1"] == 312
+    assert main(["check", "--level", "quick"]) == 1
+    out = capsys.readouterr().out
+    assert "case1-vs-laplace: 560 cases, 560 failures\n" in out
+    assert "\nFAIL case1-vs-laplace: n=1 k=1 l=1 a=-2 b=-1 expected=" in out

@@ -134,6 +134,10 @@ class TestPermanentExpansion:
             m = random_int_matrix(rng, n, -3, 3)
             assert permanent_expansion(m) == permanent_ryser(m)
 
+    def test_agrees_with_ryser_at_8(self):
+        m = random_int_matrix(random.Random(8), 8, -3, 3)
+        assert permanent_expansion(m) == permanent_ryser(m)
+
     def test_agrees_with_ryser_on_poly(self):
         rng = random.Random(5)
         for _ in range(10):

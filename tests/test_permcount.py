@@ -201,6 +201,11 @@ class TestMenageDets:
         for n in range(1, 101):
             assert menage_a_det(n) == det_case1(n, 2, 1, 0).value
 
+    def test_a_matches_floor_form(self):
+        # the paper's second printed form: (-1)^(n-1) floor((n-1)/2)
+        for n in range(1, 201):
+            assert menage_a_det(n) == (-1) ** (n - 1) * ((n - 1) // 2)
+
     def test_b_values(self):
         assert menage_b_det(6) == -1
         assert menage_b_det(8) == 0

@@ -16,6 +16,8 @@ from banddet import (
     det_closed,
     element_from_json,
     element_to_json,
+    spec_from_json,
+    spec_to_json,
 )
 from banddet import rings
 
@@ -226,6 +228,50 @@ class TestExactRender:
             [sys.executable, "-c", code], check=True, timeout=60,
             env={**os.environ, "PYTHONPATH": str(Path(rings.__file__).parents[1])},
         )
+
+
+class TestExactRead:
+    """JSON of any size reads back exactly, and only canonical digits are
+    accepted, under the default int <-> str digit limit and the least one."""
+
+    @pytest.fixture(params=[4300, 640])
+    def limit(self, request):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(request.param)
+        try:
+            yield request.param
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    def test_round_trip_beyond_the_limit(self, limit):
+        x = Integer(2**19999 * 10002)  # det --n 20000 --k 2 --l 1 --a 1 --b 3
+        text = element_to_json(x)
+        assert len(text) == 6025
+        assert element_from_json(text) == x
+        assert element_from_json("-" + text) == -x
+        p = Poly((-(x.value), 1, 3**20000))
+        assert element_from_json(element_to_json(p)) == p
+        spec = BandSpec(7, 2, 1, x.value, -(x.value))
+        assert spec_from_json(spec_to_json(spec)) == spec
+
+    @pytest.mark.parametrize("digits", [1, 616, 617, 618, 1235, 6025, 20_001])
+    def test_every_length_splits_exactly(self, limit, digits):
+        rng = random.Random(digits)
+        text = "".join(rng.choice("0123456789") for _ in range(digits))
+        sys.set_int_max_str_digits(0)
+        want = int(text)
+        sys.set_int_max_str_digits(limit)
+        assert element_from_json(text) == Integer(want)
+        assert element_from_json("-" + text) == Integer(-want)
+
+    @pytest.mark.parametrize(
+        "text", [" 12", "12 ", "12\n", "+5", "1_000", "\u0663", "1e5", "NaN", "", "-", "--1", "0x10", "1.0"]
+    )
+    def test_non_canonical_rejected(self, text):
+        with pytest.raises(ValueError):
+            element_from_json(text)
+        with pytest.raises(ValueError):
+            element_from_json(["1", text])
 
 
 @given(x=st.one_of(ints, polys), m=st.integers(0, 16), n=st.integers(0, 16))
