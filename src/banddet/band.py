@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MixedRingError
+from .errors import MixedRingError, _require_order
 from .oracle import DenseMatrix, _exact_div
 from .rings import RingElement, as_element, element_from_json, element_to_json
 
@@ -40,7 +40,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BandSpec:
-    """Five-parameter band description with 1 <= l <= k <= n and a != b.
+    """Five-parameter band description with int 1 <= l <= k <= n and a != b
+    (a bool or float order or width raises TypeError).
 
     l > k is accepted and normalized by swapping k and l.  The swap
     transposes the matrix, which leaves the determinant (and permanent)
@@ -54,14 +55,17 @@ class BandSpec:
     b: RingElement
 
     def __post_init__(self) -> None:
+        for name in ("n", "k", "l"):
+            v = getattr(self, name)
+            if type(v) is not int:
+                raise TypeError(f"{name} must be an int, got {v!r}")
         object.__setattr__(self, "a", as_element(self.a))
         object.__setattr__(self, "b", as_element(self.b))
         if self.l > self.k:
             k, l = self.l, self.k
             object.__setattr__(self, "k", k)
             object.__setattr__(self, "l", l)
-        if self.n < 1:
-            raise ValueError("order n must be positive")
+        _require_order(self.n)
         if not 1 <= self.l <= self.k <= self.n:
             raise ValueError(
                 f"need 1 <= l <= k <= n, got n={self.n} k={self.k} l={self.l}"
@@ -220,8 +224,7 @@ def f_closed(n: int, a, b) -> RingElement:
     """(b - a)^(n-1) * a: determinant of the order-n matrix built from an
     order-(n-1) l = 1 band block bordered by a last row and last column of
     all a.  The value does not depend on the block's band width."""
-    if n < 1:
-        raise ValueError("order n must be positive")
+    _require_order(n)
     a = as_element(a)
     b = as_element(b)
     return ((b - a) ** (n - 1)) * a
@@ -230,8 +233,7 @@ def f_closed(n: int, a, b) -> RingElement:
 def g_closed(n: int, a, b) -> RingElement:
     """(b - a)^(n-1) * b: determinant of the k = n spec (upper triangle,
     diagonal included, all b)."""
-    if n < 1:
-        raise ValueError("order n must be positive")
+    _require_order(n)
     a = as_element(a)
     b = as_element(b)
     return ((b - a) ** (n - 1)) * b
@@ -240,8 +242,7 @@ def g_closed(n: int, a, b) -> RingElement:
 def bordered_matrix(n: int, k: int, a, b) -> DenseMatrix:
     """The matrix whose determinant f_closed predicts: an (n-1)-order
     width-k band block with an all-a last row and column appended."""
-    if n < 1:
-        raise ValueError("order n must be positive")
+    _require_order(n)
     a = as_element(a)
     b = as_element(b)
     if n > 1 and not 1 <= k <= n - 1:
@@ -296,10 +297,7 @@ def spec_to_json(spec: BandSpec) -> dict:
 
 
 def spec_from_json(obj: dict) -> BandSpec:
-    return BandSpec(
-        int(obj["n"]),
-        int(obj["k"]),
-        int(obj["l"]),
-        element_from_json(obj["a"]),
-        element_from_json(obj["b"]),
-    )
+    """Inverse of :func:`spec_to_json`; n, k and l must be JSON integers
+    (a float, a bool or a string raises TypeError)."""
+    a, b = (element_from_json(obj[key]) for key in ("a", "b"))
+    return BandSpec(obj["n"], obj["k"], obj["l"], a, b)

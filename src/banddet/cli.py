@@ -225,12 +225,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except SizeLimitError as exc:
+    except (SizeLimitError, ValueError, MixedRingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except (ValueError, MixedRingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_GUARD if isinstance(exc, SizeLimitError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one order rule:
+every routine that takes an order refuses one below 1 through
+:func:`_require_order`, with the same message."""
 
 
 class MixedRingError(TypeError):
@@ -23,3 +25,9 @@ class ParityError(ArithmeticError):
 
 class InvalidPermutationError(ValueError):
     """Sequence is not a permutation of 1..n in one-line notation."""
+
+
+def _require_order(n: int, what: str = "order n") -> None:
+    """Raise ValueError("<what> must be positive") when n < 1."""
+    if n < 1:
+        raise ValueError(f"{what} must be positive")

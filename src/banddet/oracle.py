@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import permutations
 
-from .errors import InexactDivisionError, SizeLimitError
-from .rings import Integer, RingElement, as_element
+from .errors import InexactDivisionError, SizeLimitError, _require_order
+from .rings import Integer, RingElement, _int_parse, as_element
 
 __all__ = [
     "DenseMatrix",
@@ -38,11 +38,19 @@ _DEFAULT_LIMITS = {
 
 
 def size_limit(name: str) -> int:
-    """Effective guard value; ``BANDDET_LIMIT_<NAME>`` overrides the default."""
-    raw = os.environ.get(f"BANDDET_LIMIT_{name}")
-    if raw is not None:
-        return int(raw)
-    return _DEFAULT_LIMITS[name]
+    """Effective guard value; ``BANDDET_LIMIT_<NAME>``, a canonical
+    non-negative decimal integer, overrides the default."""
+    var = f"BANDDET_LIMIT_{name}"
+    raw = os.environ.get(var)
+    if raw is None:
+        return _DEFAULT_LIMITS[name]
+    try:
+        limit = _int_parse(raw)
+        if limit >= 0:
+            return limit
+    except ValueError:
+        pass
+    raise ValueError(f"{var} must be a non-negative integer, got {raw!r}")
 
 
 def check_size(name: str, n: int, what: str) -> None:
@@ -62,8 +70,7 @@ class DenseMatrix:
 
     def __post_init__(self) -> None:
         n = len(self.rows)
-        if n == 0:
-            raise ValueError("matrix order must be positive")
+        _require_order(n)
         kind = type(self.rows[0][0]) if self.rows[0] else None
         for row in self.rows:
             if len(row) != n:
@@ -175,13 +182,7 @@ def det_bareiss(m: DenseMatrix) -> Integer:
         for i in rng:
             rowi = a[i]
             f = rowi[k]
-            if prev == 1:
-                tail = [pk * rowi[j] - f * rowk[j] for j in rng]
-            elif prev == -1:
-                tail = [f * rowk[j] - pk * rowi[j] for j in rng]
-            else:
-                tail = [_exact_div(pk * rowi[j] - f * rowk[j], prev) for j in rng]
-            rowi[k + 1 :] = tail
+            rowi[k + 1 :] = [_exact_div(pk * rowi[j] - f * rowk[j], prev) for j in rng]
         prev = pk
     return wrap(sign * a[n - 1][n - 1])
 

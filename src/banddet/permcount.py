@@ -20,6 +20,7 @@ from .band import BandSpec, band_rows, det_closed, materialize
 from .errors import (
     InvalidPermutationError,
     ParityError,
+    _require_order,
 )
 from .oracle import (
     DenseMatrix,
@@ -60,8 +61,7 @@ class CharMatrix:
 
     def __post_init__(self) -> None:
         n = len(self.bits)
-        if n == 0:
-            raise ValueError("order must be positive")
+        _require_order(n)
         for row in self.bits:
             if len(row) != n:
                 raise ValueError("matrix must be square")
@@ -166,8 +166,7 @@ def menage_a_permanent_rec(n: int) -> int:
         (n-1) p_n = (n^2 - n - 1) p_{n-1} + n p_{n-2} + 2(-1)^(n+1)
 
     with p_1 = p_2 = 0.  The division by n-1 must land exactly."""
-    if n < 1:
-        raise ValueError("order must be positive")
+    _require_order(n)
     if n <= 2:
         return 0
     p_prev2, p_prev = 0, 0
@@ -180,8 +179,7 @@ def menage_a_permanent_rec(n: int) -> int:
 def menage_a_permanent_sum(n: int) -> int:
     """Class size of the A family by the alternating sum
     sum_k (-1)^k C(2n-k, k) (n-k)!."""
-    if n < 1:
-        raise ValueError("order must be positive")
+    _require_order(n)
     total = 0
     for k in range(n + 1):
         term = comb(2 * n - k, k) * factorial(n - k)
@@ -192,8 +190,7 @@ def menage_a_permanent_sum(n: int) -> int:
 def menage_a_det(n: int) -> int:
     """Determinant of the A family, by the printed residue form
     (-1)^(n-1) (n-p)/2 with n = p (mod 2), 0 < p <= 2."""
-    if n < 1:
-        raise ValueError("order must be positive")
+    _require_order(n)
     p = 2 if n % 2 == 0 else 1
     return (n - p) // 2 if n & 1 else -((n - p) // 2)
 
@@ -201,8 +198,7 @@ def menage_a_det(n: int) -> int:
 def menage_b_det(n: int) -> int:
     """Determinant of the B family: (3-n)/3, (n-1)/3 or 0 as n mod 3 is
     0, 1 or 2."""
-    if n < 1:
-        raise ValueError("order must be positive")
+    _require_order(n)
     p = n % 3
     if p == 2:
         return 0
@@ -239,8 +235,7 @@ class ExcedanceCensus:
 
     def __post_init__(self) -> None:
         n = self.n
-        if n < 1:
-            raise ValueError("order n must be positive")
+        _require_order(n)
         for t in (self.per_coeffs, self.det_coeffs, self.even, self.odd):
             if len(t) != n:
                 raise ValueError("coefficient tuples must have length n")
@@ -273,8 +268,7 @@ def excedance_census(n: int) -> ExcedanceCensus:
 def brute_force_excedance_census(n: int) -> ExcedanceCensus:
     """Census by enumerating S_n and bucketing by weak-excedance count
     and sign; the oracle for excedance_census."""
-    if n < 1:
-        raise ValueError("order must be positive")
+    _require_order(n)
     check_size("CENSUS_ENUM", n, "brute_force_excedance_census")
     even = [0] * n
     odd = [0] * n
@@ -347,8 +341,7 @@ def family_table(family: str, n_max: int) -> list[tuple[int, int, int, int, int]
     Ryser and the determinant from the family closed form.
     excedance-k2: (n, T(n,2), c(n,2), even, odd).
     """
-    if n_max < 1:
-        raise ValueError("n_max must be positive")
+    _require_order(n_max, "n_max")
     if family not in _ROWS:
         raise ValueError(f"unknown family {family!r}")
     # largest order first, so the permanent's size guard refuses before any work

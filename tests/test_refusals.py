@@ -1,0 +1,150 @@
+"""Bad input is refused before any work, with one message per rule: the
+order rule at every entry point that takes an order, the integer fields of
+a band spec, the size-guard overrides, and the refusals the other suites
+never reach."""
+
+import json
+import re
+
+import pytest
+
+from banddet import (
+    BandSpec,
+    CharMatrix,
+    DenseMatrix,
+    ExcedanceCensus,
+    Integer,
+    ParityCount,
+    ParityError,
+    Poly,
+    bordered_matrix,
+    brute_force_excedance_census,
+    det_case1,
+    det_recurrence,
+    element_from_json,
+    element_to_json,
+    f_closed,
+    family_table,
+    g_closed,
+    menage_a_det,
+    menage_a_permanent_rec,
+    menage_a_permanent_sum,
+    menage_b_det,
+    spec_from_json,
+    spec_to_json,
+)
+from banddet.cli import main
+
+ORDER_ZERO = {
+    "BandSpec": lambda: BandSpec(0, 1, 1, 1, 0),
+    "f_closed": lambda: f_closed(0, 1, 0),
+    "g_closed": lambda: g_closed(0, 1, 0),
+    "bordered_matrix": lambda: bordered_matrix(0, 1, 1, 0),
+    "DenseMatrix": lambda: DenseMatrix(()),
+    "CharMatrix": lambda: CharMatrix(()),
+    "menage_a_permanent_rec": lambda: menage_a_permanent_rec(0),
+    "menage_a_permanent_sum": lambda: menage_a_permanent_sum(0),
+    "menage_a_det": lambda: menage_a_det(0),
+    "menage_b_det": lambda: menage_b_det(0),
+    "ExcedanceCensus": lambda: ExcedanceCensus(0, (), (), (), ()),
+    "brute_force_excedance_census": lambda: brute_force_excedance_census(0),
+}
+
+
+@pytest.mark.parametrize("call", ORDER_ZERO.values(), ids=ORDER_ZERO.keys())
+def test_order_zero_is_refused_with_one_message(call):
+    with pytest.raises(ValueError, match=r"^order n must be positive$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, exc, message",
+    [
+        (lambda: family_table("menage-a", 0), ValueError, "n_max must be positive"),
+        (lambda: det_case1(0, 1, 1, 0), ValueError, "need n >= 1 and k >= 1, got n=0 k=1"),
+        (lambda: bordered_matrix(4, 4, 1, 0), ValueError, "need 1 <= k <= n-1, got k=4 n=4"),
+        (lambda: det_recurrence(3, 4, 1, 0), ValueError, "need 1 <= k <= n, got k=4 n=3"),
+        (lambda: ParityCount(2, 1, 3, 2), ParityError, "even - odd != det (2-1 != 2)"),
+        (
+            lambda: ExcedanceCensus(2, (1, 1), (-1, 1), (0, 1), (1,)),
+            ValueError,
+            "coefficient tuples must have length n",
+        ),
+        (lambda: Integer(1.5), TypeError, "Integer wraps a Python int"),
+        (lambda: Poly((1,)).coeff(-1), ValueError, "power must be non-negative"),
+        (lambda: element_to_json(3), TypeError, "not a ring element: int"),
+        (lambda: element_from_json(3), TypeError, "cannot decode ring element from int"),
+    ],
+    ids=[
+        "family_table", "det_case1", "bordered_matrix-width", "det_recurrence-width",
+        "ParityCount", "ExcedanceCensus-short", "Integer-float", "Poly.coeff-negative",
+        "element_to_json-int", "element_from_json-int",
+    ],
+)
+def test_refusal(call, exc, message):
+    with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+        call()
+
+
+class TestSpecIntegerFields:
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"n": 7.9, "k": "2", "l": True}, "n must be an int, got 7.9"),
+            ({"n": " 1_0 ", "k": 2, "l": 1}, "n must be an int, got ' 1_0 '"),
+            ({"n": 7, "k": "2", "l": 1}, "k must be an int, got '2'"),
+            ({"n": 7, "k": 2, "l": True}, "l must be an int, got True"),
+            ({"n": 7, "k": 2.0, "l": 1}, "k must be an int, got 2.0"),
+        ],
+    )
+    def test_json_non_integer_refused(self, fields, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            spec_from_json({**fields, "a": "1", "b": "0"})
+
+    def test_bool_order_refused(self):
+        with pytest.raises(TypeError, match=r"^n must be an int, got True$"):
+            BandSpec(True, 1, 1, 1, 0)
+
+    def test_round_trip_through_json_text(self):
+        spec = BandSpec(9, 2, 3, -4, 7)
+        assert spec_from_json(json.loads(json.dumps(spec_to_json(spec)))) == spec
+
+
+class TestLimitOverride:
+    PERM = ("perm", "--n", "4", "--k", "2", "--l", "1", "--a", "1", "--b", "0")
+
+    def run(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("BANDDET_LIMIT_RYSER_INT", value)
+        code = main(list(self.PERM))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("value", ["abc", "-1", " 12", "1e3", ""])
+    def test_bad_value_is_a_usage_error_naming_the_variable(self, capsys, monkeypatch, value):
+        assert self.run(capsys, monkeypatch, value) == (
+            2,
+            "",
+            "error: BANDDET_LIMIT_RYSER_INT must be a non-negative integer, "
+            f"got {value!r}\n",
+        )
+
+    def test_zero_refuses_every_order(self, capsys, monkeypatch):
+        code, out, err = self.run(capsys, monkeypatch, "0")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: permanent_ryser refuses order 4 (limit 0;")
+
+    def test_valid_override_applies(self, capsys, monkeypatch):
+        assert self.run(capsys, monkeypatch, "3")[0] == 3
+        code, out, _ = self.run(capsys, monkeypatch, "4")
+        assert code == 0
+        assert out.endswith("per: 3\n")
+
+
+def test_bench_laplace_success(capsys):
+    assert main(["bench", "4,9", "--method", "laplace"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "n,closed_seconds,method,method_seconds,agree"
+    assert [line.split(",")[0::2] for line in lines[1:]] == [
+        ["4", "laplace", "true"],
+        ["9", "laplace", "true"],
+    ]
