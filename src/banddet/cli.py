@@ -17,7 +17,7 @@ import time
 
 from . import band, checks, oracle, permcount
 from .errors import MixedRingError, SizeLimitError
-from .rings import element_to_json
+from .rings import _int_parse, element_to_json
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -91,13 +91,6 @@ def _cmd_perm(args) -> int:
     return EXIT_OK
 
 
-_TABLE_KEYS = {
-    "menage-a": ("n", "per", "det", "even", "odd"),
-    "menage-b": ("n", "per", "det", "even", "odd"),
-    "excedance-k2": ("n", "T", "c", "even", "odd"),
-}
-
-
 def _emit_rows(keys, rows, fmt: str, **fixed) -> None:
     """Print rows as CSV under a header of keys, or as JSON lines that
     start with the `fixed` fields; in JSON the first column stays a number
@@ -116,7 +109,7 @@ def _emit_rows(keys, rows, fmt: str, **fixed) -> None:
 
 def _cmd_table(args) -> int:
     rows = permcount.family_table(args.family, args.n_max)
-    _emit_rows(_TABLE_KEYS[args.family], rows, args.format)
+    _emit_rows(permcount._FAMILIES[args.family][1], rows, args.format)
     return EXIT_OK
 
 
@@ -139,7 +132,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
+    sizes = [_int_parse(s) for s in args.sizes.split(",") if s]
     if not sizes or any(n < 1 for n in sizes):
         raise ValueError("sizes must be positive integers, comma-separated")
     if args.method == "laplace":
@@ -171,9 +164,9 @@ def _add_spec_flags(p, methods) -> None:
     """The flags of a verb that reads one band spec: the spec itself, the
     method (the first one is the default) and the output format."""
     for flag in ("--n", "--k", "--l"):
-        p.add_argument(flag, type=int, required=True)
-    p.add_argument("--a", type=int, required=True, help="off-band value")
-    p.add_argument("--b", type=int, required=True, help="in-band value")
+        p.add_argument(flag, type=_int_parse, required=True)
+    p.add_argument("--a", type=_int_parse, required=True, help="off-band value")
+    p.add_argument("--b", type=_int_parse, required=True, help="in-band value")
     p.add_argument("--method", choices=methods, default=methods[0])
     p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -195,13 +188,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_perm)
 
     p = sub.add_parser("table", help="census table of a named family")
-    p.add_argument("family", choices=("menage-a", "menage-b", "excedance-k2"))
-    p.add_argument("n_max", type=int)
+    p.add_argument("family", choices=permcount._FAMILIES)
+    p.add_argument("n_max", type=_int_parse)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(handler=_cmd_table)
 
     p = sub.add_parser("census", help="full weak-excedance census for one order")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_parse, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(handler=_cmd_census)
 
@@ -212,10 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time the closed form against elimination")
     p.add_argument("sizes", help="comma-separated orders, e.g. 64,256,1024")
     p.add_argument("--method", choices=("bareiss", "laplace"), default="bareiss")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--l", type=int, default=1)
-    p.add_argument("--a", type=int, default=1)
-    p.add_argument("--b", type=int, default=2)
+    p.add_argument("--k", type=_int_parse, default=2)
+    p.add_argument("--l", type=_int_parse, default=1)
+    p.add_argument("--a", type=_int_parse, default=1)
+    p.add_argument("--b", type=_int_parse, default=2)
     p.set_defaults(handler=_cmd_bench)
 
     return parser

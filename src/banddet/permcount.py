@@ -66,7 +66,7 @@ class CharMatrix:
             if len(row) != n:
                 raise ValueError("matrix must be square")
             for e in row:
-                if e not in (0, 1):
+                if type(e) is not int or e not in (0, 1):
                     raise ValueError("entries must be 0 or 1")
 
     @property
@@ -103,10 +103,9 @@ class ParityCount:
 
     @classmethod
     def split(cls, per: int, det: int) -> "ParityCount":
-        """The census with the given per and det: (per +- det)/2, where an
-        odd per + det raises ParityError instead of rounding."""
-        if (per + det) & 1:
-            raise ParityError(f"per + det is odd (per={per}, det={det})")
+        """The census with the given per and det: (per +- det)/2.  An odd
+        per + det floors to a pair whose sum is not per, which __post_init__
+        raises as ParityError instead of rounding."""
         return cls((per + det) // 2, (per - det) // 2, per, det)
 
 
@@ -326,11 +325,12 @@ def _menage_row(matrix, det, n: int) -> tuple[int, int, int, int, int]:
     return (n, pc.permanent, pc.determinant, pc.even, pc.odd)
 
 
-# each family's row of order n; a seating family pairs its board with its det
-_ROWS = {
-    "menage-a": partial(_menage_row, menage_a_matrix, menage_a_det),
-    "menage-b": partial(_menage_row, menage_b_matrix, menage_b_det),
-    "excedance-k2": _excedance_k2_row,
+# family -> (row of order n, column names); a seating row pairs a board with a det
+_SEATING = ("n", "per", "det", "even", "odd")
+_FAMILIES = {
+    "menage-a": (partial(_menage_row, menage_a_matrix, menage_a_det), _SEATING),
+    "menage-b": (partial(_menage_row, menage_b_matrix, menage_b_det), _SEATING),
+    "excedance-k2": (_excedance_k2_row, ("n", "T", "c", "even", "odd")),
 }
 
 
@@ -342,7 +342,7 @@ def family_table(family: str, n_max: int) -> list[tuple[int, int, int, int, int]
     excedance-k2: (n, T(n,2), c(n,2), even, odd).
     """
     _require_order(n_max, "n_max")
-    if family not in _ROWS:
+    if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     # largest order first, so the permanent's size guard refuses before any work
-    return [_ROWS[family](n) for n in range(n_max, 0, -1)][::-1]
+    return [_FAMILIES[family][0](n) for n in range(n_max, 0, -1)][::-1]

@@ -160,12 +160,12 @@ class RingElement:
 
 @dataclass(frozen=True, slots=True)
 class Integer(RingElement):
-    """Arbitrary-precision signed integer."""
+    """Arbitrary-precision signed integer; wraps exactly an int, not a bool."""
 
     value: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.value, int):
+        if type(self.value) is not int:
             raise TypeError("Integer wraps a Python int")
 
     def ring_zero(self) -> "Integer":
@@ -301,11 +301,7 @@ class Poly(RingElement):
 
 def as_element(v: "RingElement | int") -> RingElement:
     """Coerce a plain int to :class:`Integer`; pass ring elements through."""
-    if isinstance(v, RingElement):
-        return v
-    if isinstance(v, int):
-        return Integer(v)
-    raise TypeError(f"cannot use {type(v).__name__} as a ring element")
+    return v if isinstance(v, RingElement) else Integer(v)
 
 
 def element_to_json(x: RingElement) -> "str | list[str]":

@@ -1,10 +1,12 @@
 """Bad input is refused before any work, with one message per rule: the
 order rule at every entry point that takes an order, the integer fields of
-a band spec, the size-guard overrides, and the refusals the other suites
-never reach."""
+a band spec, the one rule for integer values and the one for integer text
+(JSON, the size-guard overrides, the CLI), and the refusals the other
+suites never reach."""
 
 import json
 import re
+import sys
 
 import pytest
 
@@ -74,11 +76,21 @@ def test_order_zero_is_refused_with_one_message(call):
         (lambda: Poly((1,)).coeff(-1), ValueError, "power must be non-negative"),
         (lambda: element_to_json(3), TypeError, "not a ring element: int"),
         (lambda: element_from_json(3), TypeError, "cannot decode ring element from int"),
+        (lambda: Integer(True), TypeError, "Integer wraps a Python int"),
+        (lambda: BandSpec(3, 1, 1, True, False), TypeError, "Integer wraps a Python int"),
+        (
+            lambda: DenseMatrix.from_rows([[True, 0], [0, 1]]),
+            TypeError,
+            "Integer wraps a Python int",
+        ),
+        (lambda: CharMatrix(((True, False), (False, True))), ValueError, "entries must be 0 or 1"),
+        (lambda: CharMatrix(((1.0, 0.0), (0.0, 1.0))), ValueError, "entries must be 0 or 1"),
     ],
     ids=[
         "family_table", "det_case1", "bordered_matrix-width", "det_recurrence-width",
         "ParityCount", "ExcedanceCensus-short", "Integer-float", "Poly.coeff-negative",
-        "element_to_json-int", "element_from_json-int",
+        "element_to_json-int", "element_from_json-int", "Integer-bool", "BandSpec-bool-entries",
+        "DenseMatrix-bool", "CharMatrix-bool", "CharMatrix-float",
     ],
 )
 def test_refusal(call, exc, message):
@@ -108,6 +120,41 @@ class TestSpecIntegerFields:
     def test_round_trip_through_json_text(self):
         spec = BandSpec(9, 2, 3, -4, 7)
         assert spec_from_json(json.loads(json.dumps(spec_to_json(spec)))) == spec
+
+
+class TestCliIntegers:
+    """Every integer the CLI reads is canonical digits, -?[0-9]+, at any
+    length, the same rule as JSON and the limit overrides."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["det", "--n", " 1_0", "--k", "1", "--l", "1", "--a", "1", "--b", "0"],
+            ["det", "--n", "3", "--k", "1", "--l", "1", "--a", "+1", "--b", "0"],
+            ["table", "menage-a", "1_0"],
+            ["census", "--n", " 3"],
+            ["bench", " 4,1_0"],
+        ],
+        ids=["det-n", "det-a-plus", "table-n_max", "census-n", "bench-sizes"],
+    )
+    def test_non_canonical_is_a_usage_error(self, capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the flag itself
+            code = exc.code
+        assert (code, capsys.readouterr().out) == (2, "")
+
+    def test_any_length_reads_back(self, capsys):
+        b = "7" * 5000
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # the interpreter's default
+        try:
+            code = main(["det", "--n", "3", "--k", "1", "--l", "1", "--a", "0", "--b", b,
+                         "--format", "json"])
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["b"] == b
 
 
 class TestLimitOverride:
