@@ -34,6 +34,7 @@ _DEFAULT_LIMITS = {
     "EXPANSION": 9,
     "PARITY_ENUM": 10,
     "CENSUS_ENUM": 9,
+    "TRANSFER": 200,  # the rook-number census paths of permcount (polynomial time)
 }
 
 

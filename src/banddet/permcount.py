@@ -11,12 +11,13 @@ enumeration for cross-checking.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 from itertools import permutations
-from math import comb, factorial
+from math import comb, factorial, prod
 
-from .band import BandSpec, band_rows, det_closed, materialize
+from .band import BandSpec, _band_run, band_rows, det_closed, materialize
 from .errors import (
     InvalidPermutationError,
     ParityError,
@@ -125,11 +126,119 @@ def perm_sign(perm) -> int:
     return 1 if ((n - cycles) & 1) == 0 else -1
 
 
+# A board is a 0/1 matrix kept as one bit mask per row: bit j of row i is
+# set when (i, j) holds a one.  Rook numbers and permanents read boards.
+
+
+def _board(bits) -> list[int]:
+    """The board of a 0/1 matrix given by its rows."""
+    return [int("".join(map(str, reversed(row))), 2) for row in bits]
+
+
+def _band_board(n: int, k: int, l: int) -> list[int]:
+    """The board of the order-n band window of widths (k, l)."""
+    return [(1 << hi) - (1 << lo) for lo, hi in (_band_run(n, k, l, i) for i in range(n))]
+
+
+def _is_ferrers(board: list[int]) -> bool:
+    """Whether the rows are nested, i.e. the board is a Ferrers board up to
+    an order of its rows and columns."""
+    chain = sorted(board, key=int.bit_count)
+    return all(x & y == x for x, y in zip(chain, chain[1:]))
+
+
+def _later_reach(board: list[int]) -> list[int]:
+    """Per row, the columns that some later row can still reach."""
+    reach, later = [], 0
+    for mask in reversed(board):
+        reach.append(later)
+        later |= mask
+    return reach[::-1]
+
+
+def _rook_width(board: list[int]) -> int:
+    """Profile width f of the DP that counts the board's rooks: the most
+    columns that earlier rows reach and later rows can still reach, so at
+    most 2^f profiles are live.  0 for nested rows, which need no DP."""
+    if _is_ferrers(board):
+        return 0
+    width, seen = 0, 0
+    for mask, reach in zip(board, _later_reach(board)):
+        seen |= mask
+        width = max(width, (seen & reach).bit_count())
+    return width
+
+
+def _rook_numbers(board: list[int]) -> list[int]:
+    """Rook numbers r_0..r_n of an order-n board: r_j ways to place j
+    non-attacking rooks on its ones.
+
+    Nested rows (a Ferrers board) take the count recurrence of Goldman,
+    Joichi and White, r'_j = r_j + (h - j + 1) r_{j-1}, adding rows by
+    increasing length h: the j - 1 rooks already placed sit in columns of
+    the new row.  Any other board runs a profile DP row by row; the state
+    is the set of used columns that a later row can still reach, so a band
+    of width w keeps at most 2^w states.  Each state carries its counts by
+    j packed into one int, r_j in bits [jB, (j+1)B): B bits hold any r_j,
+    since the product of (1 + row length) over rows bounds their sum."""
+    n = len(board)
+    if _is_ferrers(board):
+        r = [1] + [0] * n
+        for i, h in enumerate(sorted(map(int.bit_count, board))):
+            # r_j for j = 1..i+1 from the old r_j and r_{j-1}
+            r[1 : i + 2] = [x + (h - j) * y for j, (x, y) in enumerate(zip(r[1 : i + 2], r))]
+        return r
+    slot = prod(1 + mask.bit_count() for mask in board).bit_length()
+    states = {0: 1}
+    for mask, reach in zip(board, _later_reach(board)):
+        step = defaultdict(int)
+        for used, packed in states.items():
+            step[used & reach] += packed
+            free = mask & ~used
+            while free:
+                low = free & -free
+                step[(used | low) & reach] += packed << slot
+                free ^= low
+        states = step
+    # no row is later than the last, so every profile has collapsed to 0
+    packed, low_bits = states[0], (1 << slot) - 1
+    return [(packed >> (j * slot)) & low_bits for j in range(n + 1)]
+
+
+def _rook_permanent(board: list[int], a, c):
+    """per(aJ + cB) for the board B, by Kaplansky and Riordan:
+    sum_j c^j a^(n-j) (n-j)! r_j(B).  a and c are ints or elements of one
+    ring; the sum runs by Horner's rule in c."""
+    r = _rook_numbers(board)
+    n = len(r) - 1
+    a_pow = a**0
+    total = a_pow * r[n]
+    fact = 1
+    for j in range(n - 1, -1, -1):
+        a_pow = a_pow * a
+        fact *= n - j
+        total = c * total + a_pow * (fact * r[j])
+    return total
+
+
 def parity_counts(A: CharMatrix) -> ParityCount:
-    """Census from (per +- det)/2, permanent via Ryser, determinant via
-    Bareiss; the exact halving is asserted."""
+    """Census from (per +- det)/2, determinant via Bareiss.  The permanent
+    is per(0J + 1A) or per(1J - 1Z) from the rook numbers of A's ones or of
+    its zeros Z, whichever DP is narrower; Ryser, under its own guard, only
+    when neither is a Ferrers board and the DP's n 2^f profiles exceed
+    Ryser's 2^n subsets."""
+    n = A.n
+    check_size("TRANSFER", n, "parity_counts")
+    ones = _board(A.bits)
+    zeros = [mask ^ ((1 << n) - 1) for mask in ones]
+    routes = [(_rook_width(ones), ones, 0, 1), (_rook_width(zeros), zeros, 1, -1)]
+    width, board, a, c = min(routes, key=lambda route: route[0])
     dense = A.to_dense()
-    return ParityCount.split(permanent_ryser(dense).value, det_bareiss(dense).value)
+    if n << width > 1 << n:
+        per = permanent_ryser(dense).value
+    else:
+        per = _rook_permanent(board, a, c)
+    return ParityCount.split(per, det_bareiss(dense).value)
 
 
 def brute_force_parity(A: CharMatrix) -> ParityCount:
@@ -147,16 +256,21 @@ def brute_force_parity(A: CharMatrix) -> ParityCount:
     return ParityCount(even, odd, even + odd, even - odd)
 
 
+# the band windows (k, l) that hold the zeros of the two seating families
+_MENAGE_A_ZEROS = (2, 1)
+_MENAGE_B_ZEROS = (2, 2)
+
+
 def menage_a_matrix(n: int) -> CharMatrix:
     """Characteristic matrix of the seatings with pi(i) != i, i+1 and
     pi(n) != n: zeros on the main and first upper diagonals."""
-    return CharMatrix(band_rows(n, 2, 1, 0, 1))
+    return CharMatrix(band_rows(n, *_MENAGE_A_ZEROS, 0, 1))
 
 
 def menage_b_matrix(n: int) -> CharMatrix:
     """Characteristic matrix of the seatings with |pi(i) - i| > 1: the
     zero tridiagonal."""
-    return CharMatrix(band_rows(n, 2, 2, 0, 1))
+    return CharMatrix(band_rows(n, *_MENAGE_B_ZEROS, 0, 1))
 
 
 def menage_a_permanent_rec(n: int) -> int:
@@ -250,9 +364,13 @@ class ExcedanceCensus:
 
 def excedance_census(n: int) -> ExcedanceCensus:
     """Census from the permanent and determinant of the weak-excedance
-    matrix: the k-th coefficients give class size and even-odd gap."""
+    matrix: the k-th coefficients give class size and even-odd gap.  The
+    matrix is J + (x-1)B for the staircase board B, so the permanent comes
+    from B's rook numbers."""
+    check_size("TRANSFER", n, "excedance_census")
     spec = _excedance_spec(n)
-    per = permanent_ryser(materialize(spec))
+    board = _band_board(spec.n, spec.k, spec.l)
+    per = _rook_permanent(board, spec.a, spec.b - spec.a)
     if per.coeff(0) != 0:
         raise ParityError("permutation with no weak excedance counted")
     det = det_closed(spec)
@@ -320,16 +438,18 @@ def _excedance_k2_row(n: int) -> tuple[int, int, int, int, int]:
     return (n, census.per_coeffs[1], census.det_coeffs[1], census.even[1], census.odd[1])
 
 
-def _menage_row(matrix, det, n: int) -> tuple[int, int, int, int, int]:
-    pc = ParityCount.split(permanent_ryser(matrix(n).to_dense()).value, det(n))
+def _menage_row(zeros, det, n: int) -> tuple[int, int, int, int, int]:
+    # the seating matrix is J - Z for its band of zeros Z
+    check_size("TRANSFER", n, "family_table")
+    pc = ParityCount.split(_rook_permanent(_band_board(n, *zeros), 1, -1), det(n))
     return (n, pc.permanent, pc.determinant, pc.even, pc.odd)
 
 
-# family -> (row of order n, column names); a seating row pairs a board with a det
+# family -> (row of order n, column names); a seating row pairs a zero band with a det
 _SEATING = ("n", "per", "det", "even", "odd")
 _FAMILIES = {
-    "menage-a": (partial(_menage_row, menage_a_matrix, menage_a_det), _SEATING),
-    "menage-b": (partial(_menage_row, menage_b_matrix, menage_b_det), _SEATING),
+    "menage-a": (partial(_menage_row, _MENAGE_A_ZEROS, menage_a_det), _SEATING),
+    "menage-b": (partial(_menage_row, _MENAGE_B_ZEROS, menage_b_det), _SEATING),
     "excedance-k2": (_excedance_k2_row, ("n", "T", "c", "even", "odd")),
 }
 
@@ -338,11 +458,12 @@ def family_table(family: str, n_max: int) -> list[tuple[int, int, int, int, int]
     """Census rows for n = 1..n_max.
 
     menage-a, menage-b: (n, per, det, even, odd) with the permanent from
-    Ryser and the determinant from the family closed form.
+    the rook numbers of the zero band and the determinant from the family
+    closed form.
     excedance-k2: (n, T(n,2), c(n,2), even, odd).
     """
     _require_order(n_max, "n_max")
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    # largest order first, so the permanent's size guard refuses before any work
+    # largest order first, so the TRANSFER guard refuses before any work
     return [_FAMILIES[family][0](n) for n in range(n_max, 0, -1)][::-1]

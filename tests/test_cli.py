@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from banddet import band, rings
+from banddet import band, menage_a_permanent_rec, oracle, rings
 from banddet.cli import main
 
 from reference_tables import MENAGE_A, MENAGE_B, EXCEDANCE_K2
@@ -182,9 +182,17 @@ class TestTable:
             assert (row["n"], int(row["per"]), int(row["det"]), int(row["even"]), int(row["odd"])) == want
 
     def test_guard_exit(self, capsys):
-        code, _, err = run(capsys, "table", "menage-a", "25")
+        over = oracle.size_limit("TRANSFER") + 1
+        code, _, err = run(capsys, "table", "menage-a", str(over))
         assert code == 3
         assert "limit" in err
+
+    def test_menage_a_past_the_ryser_limit(self, capsys):
+        code, out, _ = run(capsys, "table", "menage-a", "25")
+        assert code == 0
+        rows = [tuple(int(v) for v in line.split(",")) for line in out.splitlines()[1:]]
+        assert [row[1] for row in rows] == [menage_a_permanent_rec(n) for n in range(1, 26)]
+        assert [row[0] for row in rows] == list(range(1, 26))
 
 
 class TestCensus:

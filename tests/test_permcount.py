@@ -1,3 +1,4 @@
+import random
 from math import comb, factorial
 
 import pytest
@@ -30,6 +31,7 @@ from banddet import (
     menage_b_matrix,
     parity_counts,
     perm_sign,
+    permanent_expansion,
     permanent_ryser,
     weak_excedance_class,
     weak_excedance_count,
@@ -287,9 +289,11 @@ class TestExcedanceCensus:
 
     def test_odd_per_plus_det_rejected(self, monkeypatch):
         # one extra permutation with two weak excedances makes T(4,2) + c(4,2) odd
-        real = permcount.permanent_ryser
+        real = permcount._rook_permanent
         monkeypatch.setattr(
-            permcount, "permanent_ryser", lambda m: real(m) + Poly.variable() ** 2
+            permcount,
+            "_rook_permanent",
+            lambda board, a, c: real(board, a, c) + Poly.variable() ** 2,
         )
         with pytest.raises(ParityError, match="even \\+ odd != per"):
             excedance_census(4)
@@ -351,16 +355,125 @@ class TestFamilyTables:
 
     @pytest.mark.parametrize("family, n_max", [("menage-a", 25), ("excedance-k2", 8)])
     def test_guard_refuses_before_any_permanent(self, monkeypatch, family, n_max):
-        # a low polynomial limit keeps the refused excedance table small
-        monkeypatch.setenv("BANDDET_LIMIT_RYSER_POLY", "6")
+        # a low limit keeps the refused tables small; no board reaches the core
+        monkeypatch.setenv("BANDDET_LIMIT_TRANSFER", "6")
         orders = []
-        real = permcount.permanent_ryser
+        real = permcount._rook_numbers
 
-        def counted(m):
-            orders.append(m.n)
-            return real(m)
+        def counted(board):
+            orders.append(len(board))
+            return real(board)
 
-        monkeypatch.setattr(permcount, "permanent_ryser", counted)
-        with pytest.raises(SizeLimitError):
+        monkeypatch.setattr(permcount, "_rook_numbers", counted)
+        with pytest.raises(SizeLimitError, match="BANDDET_LIMIT_TRANSFER"):
             family_table(family, n_max)
-        assert orders == [n_max]
+        assert orders == []
+        family_table(family, 6)
+        assert sorted(orders) == list(range(1 if family == "menage-a" else 2, 7))
+
+
+def _checkerboard(n):
+    """Ones where i + j is even: neither it nor its zeros is a Ferrers
+    board, and both have profile width about n."""
+    return CharMatrix(tuple(tuple(1 - (i + j) % 2 for j in range(n)) for i in range(n)))
+
+
+class TestRookCore:
+    @pytest.mark.parametrize(
+        "a, b", [(1, 0), (2, -3), (Poly((2, -1)), Poly((0, 1, 1)))], ids=["int-1-0", "int-2-m3", "poly"]
+    )
+    def test_band_permanents_match_ryser(self, a, b):
+        for n in range(1, 9):
+            for k in range(1, n + 1):
+                for l in range(1, k + 1):
+                    spec = BandSpec(n, k, l, a, b)
+                    got = permcount._rook_permanent(permcount._band_board(n, k, l), spec.a, spec.b - spec.a)
+                    want = permanent_ryser(materialize(spec))
+                    assert got == want, (n, k, l)
+
+    def test_random_boards_match_expansion(self):
+        rng = random.Random(14)
+        ferrers = 0
+        for n in range(1, 8):
+            for _ in range(12):
+                density = rng.choice((0.2, 0.5, 0.8))
+                bits = tuple(tuple(int(rng.random() < density) for _ in range(n)) for _ in range(n))
+                A = CharMatrix(bits)
+                want = permanent_expansion(A.to_dense()).value
+                ones = permcount._board(bits)
+                zeros = permcount._board(tuple(tuple(1 - e for e in row) for row in bits))
+                assert permcount._rook_permanent(ones, 0, 1) == want
+                assert permcount._rook_permanent(zeros, 1, -1) == want
+                ferrers += permcount._rook_width(ones) == 0 or permcount._rook_width(zeros) == 0
+                assert parity_counts(A) == brute_force_parity(A)
+        assert ferrers > 0
+
+    def test_ferrers_rows_in_any_order(self):
+        rng = random.Random(7)
+        for n in range(1, 9):
+            lengths = sorted(rng.randrange(n + 1) for _ in range(n))
+            cols = list(range(n))
+            rng.shuffle(cols)
+            bits = [tuple(int(cols.index(j) < h) for j in range(n)) for h in lengths]
+            rng.shuffle(bits)
+            board = permcount._board(bits)
+            assert permcount._rook_width(board) == 0
+            want = permanent_expansion(CharMatrix(tuple(bits)).to_dense()).value
+            assert permcount._rook_permanent(board, 0, 1) == want
+
+    def test_staircase_rook_numbers_are_stirling(self):
+        # r_j of the weak-excedance staircase is S(n+1, n+1-j)
+        def stirling2(m, k):
+            return sum((-1) ** i * comb(k, i) * (k - i) ** m for i in range(k + 1)) // factorial(k)
+
+        for n in range(1, 12):
+            r = permcount._rook_numbers(permcount._band_board(n, n, 1))
+            assert r == [stirling2(n + 1, n + 1 - j) for j in range(n + 1)]
+
+    def test_wide_board_falls_back_to_ryser(self, monkeypatch):
+        calls = []
+        real = permcount.permanent_ryser
+        monkeypatch.setattr(permcount, "permanent_ryser", lambda m: calls.append(m.n) or real(m))
+        for n in (6, 8):
+            A = _checkerboard(n)
+            assert parity_counts(A) == brute_force_parity(A)
+        assert calls == [6, 8]
+        # narrow boards never reach Ryser
+        parity_counts(menage_b_matrix(17))
+        assert calls == [6, 8]
+
+    def test_wide_board_refused_at_ryser_limit(self):
+        with pytest.raises(
+            SizeLimitError,
+            match=r"^permanent_ryser refuses order 21 \(limit 20; set BANDDET_LIMIT_RYSER_INT",
+        ):
+            parity_counts(_checkerboard(21))
+
+    def test_parity_counts_refused_over_transfer_limit(self, monkeypatch):
+        monkeypatch.setenv("BANDDET_LIMIT_TRANSFER", "9")
+        with pytest.raises(SizeLimitError, match="BANDDET_LIMIT_TRANSFER"):
+            parity_counts(menage_a_matrix(10))
+        with pytest.raises(SizeLimitError, match="BANDDET_LIMIT_TRANSFER"):
+            excedance_census(10)
+
+
+class TestLargeOrders:
+    def test_menage_a_permanents_to_200(self):
+        rows = family_table("menage-a", 200)
+        assert [row[1] for row in rows] == [menage_a_permanent_rec(n) for n in range(1, 201)]
+
+    def test_menage_b_table_matches_parity_counts(self):
+        # closed-form det and zero-band DP against Bareiss and the route parity_counts picks
+        for n in (25, 40):
+            _, per, det, even, odd = family_table("menage-b", n)[-1]
+            assert ParityCount(even, odd, per, det) == parity_counts(menage_b_matrix(n))
+
+    def test_excedance_coefficients_are_eulerian(self):
+        eulerian = [1]  # A(1, m) for m = 0
+        for n in range(1, 61):
+            if n > 1:
+                prev = eulerian + [0]
+                eulerian = [
+                    (m + 1) * prev[m] + (n - m) * (prev[m - 1] if m else 0) for m in range(n)
+                ]
+            assert excedance_census(n).per_coeffs == tuple(eulerian), n
