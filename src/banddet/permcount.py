@@ -14,8 +14,9 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
-from itertools import permutations
+from itertools import accumulate, permutations
 from math import comb, factorial, prod
+from operator import or_
 
 from .band import BandSpec, _band_run, band_rows, det_closed, materialize
 from .errors import (
@@ -127,16 +128,20 @@ def perm_sign(perm) -> int:
 
 
 # A board is a 0/1 matrix kept as one bit mask per row: bit j of row i is
-# set when (i, j) holds a one.  Rook numbers and permanents read boards.
+# set when (i, j) holds a one.  Rook numbers and permanents read boards.  An
+# order-n board holds n masks of up to n bits, so both builders check the
+# TRANSFER guard before they build one.
 
 
 def _board(bits) -> list[int]:
     """The board of a 0/1 matrix given by its rows."""
+    check_size("TRANSFER", len(bits), "rook board")
     return [int("".join(map(str, reversed(row))), 2) for row in bits]
 
 
 def _band_board(n: int, k: int, l: int) -> list[int]:
     """The board of the order-n band window of widths (k, l)."""
+    check_size("TRANSFER", n, "rook board")
     return [(1 << hi) - (1 << lo) for lo, hi in (_band_run(n, k, l, i) for i in range(n))]
 
 
@@ -156,20 +161,7 @@ def _later_reach(board: list[int]) -> list[int]:
     return reach[::-1]
 
 
-def _rook_width(board: list[int]) -> int:
-    """Profile width f of the DP that counts the board's rooks: the most
-    columns that earlier rows reach and later rows can still reach, so at
-    most 2^f profiles are live.  0 for nested rows, which need no DP."""
-    if _is_ferrers(board):
-        return 0
-    width, seen = 0, 0
-    for mask, reach in zip(board, _later_reach(board)):
-        seen |= mask
-        width = max(width, (seen & reach).bit_count())
-    return width
-
-
-def _rook_numbers(board: list[int]) -> list[int]:
+def _rook_numbers(board: list[int], max_width: int | None = None) -> list[int] | None:
     """Rook numbers r_0..r_n of an order-n board: r_j ways to place j
     non-attacking rooks on its ones.
 
@@ -177,10 +169,12 @@ def _rook_numbers(board: list[int]) -> list[int]:
     Joichi and White, r'_j = r_j + (h - j + 1) r_{j-1}, adding rows by
     increasing length h: the j - 1 rooks already placed sit in columns of
     the new row.  Any other board runs a profile DP row by row; the state
-    is the set of used columns that a later row can still reach, so a band
-    of width w keeps at most 2^w states.  Each state carries its counts by
-    j packed into one int, r_j in bits [jB, (j+1)B): B bits hold any r_j,
-    since the product of (1 + row length) over rows bounds their sum."""
+    is the set of used columns that a later row can still reach, so a
+    profile width f (a band of width w has f <= w) keeps at most 2^f
+    states.  Each state carries its counts by j packed into one int, r_j
+    in bits [jB, (j+1)B): B bits hold any r_j, since the product of
+    (1 + row length) over rows bounds their sum.  None, without a DP, when
+    the profile width exceeds max_width."""
     n = len(board)
     if _is_ferrers(board):
         r = [1] + [0] * n
@@ -188,16 +182,22 @@ def _rook_numbers(board: list[int]) -> list[int]:
             # r_j for j = 1..i+1 from the old r_j and r_{j-1}
             r[1 : i + 2] = [x + (h - j) * y for j, (x, y) in enumerate(zip(r[1 : i + 2], r))]
         return r
+    reach = _later_reach(board)
+    if max_width is not None:
+        # the columns that earlier rows reach and later rows still can
+        live = (seen & later for seen, later in zip(accumulate(board, or_), reach))
+        if max(map(int.bit_count, live)) > max_width:
+            return None
     slot = prod(1 + mask.bit_count() for mask in board).bit_length()
     states = {0: 1}
-    for mask, reach in zip(board, _later_reach(board)):
+    for mask, later in zip(board, reach):
         step = defaultdict(int)
         for used, packed in states.items():
-            step[used & reach] += packed
+            step[used & later] += packed
             free = mask & ~used
             while free:
                 low = free & -free
-                step[(used | low) & reach] += packed << slot
+                step[(used | low) & later] += packed << slot
                 free ^= low
         states = step
     # no row is later than the last, so every profile has collapsed to 0
@@ -205,11 +205,10 @@ def _rook_numbers(board: list[int]) -> list[int]:
     return [(packed >> (j * slot)) & low_bits for j in range(n + 1)]
 
 
-def _rook_permanent(board: list[int], a, c):
-    """per(aJ + cB) for the board B, by Kaplansky and Riordan:
-    sum_j c^j a^(n-j) (n-j)! r_j(B).  a and c are ints or elements of one
-    ring; the sum runs by Horner's rule in c."""
-    r = _rook_numbers(board)
+def _rook_permanent(r: list[int], a, c):
+    """per(aJ + cB) from the rook numbers r of the board B, by Kaplansky
+    and Riordan: sum_j c^j a^(n-j) (n-j)! r_j.  a and c are ints or
+    elements of one ring; the sum runs by Horner's rule in c."""
     n = len(r) - 1
     a_pow = a**0
     total = a_pow * r[n]
@@ -221,23 +220,22 @@ def _rook_permanent(board: list[int], a, c):
     return total
 
 
+# The widest profile parity_counts gives the DP.  At the TRANSFER default of
+# 200 a width-8 band DP takes about 2 s, no more than Ryser at its own limit
+# of 20 (about 3 s; both on a 2-vCPU Xeon); width 10 takes about 9 s.
+_PARITY_MAX_WIDTH = 8
+
+
 def parity_counts(A: CharMatrix) -> ParityCount:
-    """Census from (per +- det)/2, determinant via Bareiss.  The permanent
-    is per(0J + 1A) or per(1J - 1Z) from the rook numbers of A's ones or of
-    its zeros Z, whichever DP is narrower; Ryser, under its own guard, only
-    when neither is a Ferrers board and the DP's n 2^f profiles exceed
-    Ryser's 2^n subsets."""
+    """Census from (per +- det)/2, determinant via Bareiss.  A is J - Z for
+    its zeros Z, so the permanent comes from Z's rook numbers when Z is a
+    Ferrers board or its profile is at most _PARITY_MAX_WIDTH columns wide,
+    and from Ryser, under its own guard, otherwise."""
     n = A.n
-    check_size("TRANSFER", n, "parity_counts")
-    ones = _board(A.bits)
-    zeros = [mask ^ ((1 << n) - 1) for mask in ones]
-    routes = [(_rook_width(ones), ones, 0, 1), (_rook_width(zeros), zeros, 1, -1)]
-    width, board, a, c = min(routes, key=lambda route: route[0])
+    zeros = [mask ^ ((1 << n) - 1) for mask in _board(A.bits)]
     dense = A.to_dense()
-    if n << width > 1 << n:
-        per = permanent_ryser(dense).value
-    else:
-        per = _rook_permanent(board, a, c)
+    r = _rook_numbers(zeros, _PARITY_MAX_WIDTH)
+    per = permanent_ryser(dense).value if r is None else _rook_permanent(r, 1, -1)
     return ParityCount.split(per, det_bareiss(dense).value)
 
 
@@ -367,10 +365,9 @@ def excedance_census(n: int) -> ExcedanceCensus:
     matrix: the k-th coefficients give class size and even-odd gap.  The
     matrix is J + (x-1)B for the staircase board B, so the permanent comes
     from B's rook numbers."""
-    check_size("TRANSFER", n, "excedance_census")
     spec = _excedance_spec(n)
-    board = _band_board(spec.n, spec.k, spec.l)
-    per = _rook_permanent(board, spec.a, spec.b - spec.a)
+    r = _rook_numbers(_band_board(spec.n, spec.k, spec.l))
+    per = _rook_permanent(r, spec.a, spec.b - spec.a)
     if per.coeff(0) != 0:
         raise ParityError("permutation with no weak excedance counted")
     det = det_closed(spec)
@@ -440,8 +437,8 @@ def _excedance_k2_row(n: int) -> tuple[int, int, int, int, int]:
 
 def _menage_row(zeros, det, n: int) -> tuple[int, int, int, int, int]:
     # the seating matrix is J - Z for its band of zeros Z
-    check_size("TRANSFER", n, "family_table")
-    pc = ParityCount.split(_rook_permanent(_band_board(n, *zeros), 1, -1), det(n))
+    r = _rook_numbers(_band_board(n, *zeros))
+    pc = ParityCount.split(_rook_permanent(r, 1, -1), det(n))
     return (n, pc.permanent, pc.determinant, pc.even, pc.odd)
 
 

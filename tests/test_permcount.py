@@ -1,4 +1,5 @@
 import random
+from functools import partial
 from math import comb, factorial
 
 import pytest
@@ -37,6 +38,7 @@ from banddet import (
     weak_excedance_count,
 )
 from banddet import permcount
+from banddet.band import band_rows
 
 from reference_tables import (
     EXCEDANCE_K2,
@@ -293,7 +295,7 @@ class TestExcedanceCensus:
         monkeypatch.setattr(
             permcount,
             "_rook_permanent",
-            lambda board, a, c: real(board, a, c) + Poly.variable() ** 2,
+            lambda r, a, c: real(r, a, c) + Poly.variable() ** 2,
         )
         with pytest.raises(ParityError, match="even \\+ odd != per"):
             excedance_census(4)
@@ -387,7 +389,8 @@ class TestRookCore:
             for k in range(1, n + 1):
                 for l in range(1, k + 1):
                     spec = BandSpec(n, k, l, a, b)
-                    got = permcount._rook_permanent(permcount._band_board(n, k, l), spec.a, spec.b - spec.a)
+                    r = permcount._rook_numbers(permcount._band_board(n, k, l))
+                    got = permcount._rook_permanent(r, spec.a, spec.b - spec.a)
                     want = permanent_ryser(materialize(spec))
                     assert got == want, (n, k, l)
 
@@ -402,9 +405,9 @@ class TestRookCore:
                 want = permanent_expansion(A.to_dense()).value
                 ones = permcount._board(bits)
                 zeros = permcount._board(tuple(tuple(1 - e for e in row) for row in bits))
-                assert permcount._rook_permanent(ones, 0, 1) == want
-                assert permcount._rook_permanent(zeros, 1, -1) == want
-                ferrers += permcount._rook_width(ones) == 0 or permcount._rook_width(zeros) == 0
+                assert permcount._rook_permanent(permcount._rook_numbers(ones), 0, 1) == want
+                assert permcount._rook_permanent(permcount._rook_numbers(zeros), 1, -1) == want
+                ferrers += permcount._is_ferrers(zeros)
                 assert parity_counts(A) == brute_force_parity(A)
         assert ferrers > 0
 
@@ -417,9 +420,9 @@ class TestRookCore:
             bits = [tuple(int(cols.index(j) < h) for j in range(n)) for h in lengths]
             rng.shuffle(bits)
             board = permcount._board(bits)
-            assert permcount._rook_width(board) == 0
+            assert permcount._is_ferrers(board)
             want = permanent_expansion(CharMatrix(tuple(bits)).to_dense()).value
-            assert permcount._rook_permanent(board, 0, 1) == want
+            assert permcount._rook_permanent(permcount._rook_numbers(board), 0, 1) == want
 
     def test_staircase_rook_numbers_are_stirling(self):
         # r_j of the weak-excedance staircase is S(n+1, n+1-j)
@@ -434,13 +437,22 @@ class TestRookCore:
         calls = []
         real = permcount.permanent_ryser
         monkeypatch.setattr(permcount, "permanent_ryser", lambda m: calls.append(m.n) or real(m))
-        for n in (6, 8):
-            A = _checkerboard(n)
-            assert parity_counts(A) == brute_force_parity(A)
-        assert calls == [6, 8]
+        # the checkerboard's zeros have profile width n
+        A = _checkerboard(8)
+        assert parity_counts(A) == brute_force_parity(A)
+        assert calls == []
+        for n in (9, 12):
+            # a permutation on it maps even indices to even ones and odd to odd
+            assert parity_counts(_checkerboard(n)).permanent == factorial((n + 1) // 2) * factorial(n // 2)
+        assert calls == [9, 12]
+        # a zero band of widths (k, l) has profile width k + l - 2
+        for k, l, ryser in [(5, 5, False), (6, 5, True)]:
+            A = CharMatrix(band_rows(12, k, l, 0, 1))
+            assert parity_counts(A).permanent == real(A.to_dense()).value
+            assert calls[2:] == ([12] if ryser else []), (k, l)
         # narrow boards never reach Ryser
         parity_counts(menage_b_matrix(17))
-        assert calls == [6, 8]
+        assert calls == [9, 12, 12]
 
     def test_wide_board_refused_at_ryser_limit(self):
         with pytest.raises(
@@ -448,6 +460,24 @@ class TestRookCore:
             match=r"^permanent_ryser refuses order 21 \(limit 20; set BANDDET_LIMIT_RYSER_INT",
         ):
             parity_counts(_checkerboard(21))
+
+    @pytest.mark.parametrize("n", [40, 100])
+    def test_wide_band_refused_at_ryser_limit(self, n):
+        # ones in a wide band: its zeros are far too wide for the DP
+        A = CharMatrix(band_rows(n, 12, 12, 1, 0))
+        with pytest.raises(SizeLimitError, match=r"^permanent_ryser refuses order"):
+            parity_counts(A)
+
+    def test_transfer_refusal_builds_no_board(self, monkeypatch):
+        # an order-n board is n masks of up to n bits, so at n = 10**6 it would not fit
+        monkeypatch.setenv("BANDDET_LIMIT_TRANSFER", "6")
+        rows = []
+        real = permcount._band_run
+        monkeypatch.setattr(permcount, "_band_run", lambda *args: rows.append(args) or real(*args))
+        for refused in (partial(family_table, "menage-a"), excedance_census):
+            with pytest.raises(SizeLimitError, match="BANDDET_LIMIT_TRANSFER"):
+                refused(7)
+        assert rows == []
 
     def test_parity_counts_refused_over_transfer_limit(self, monkeypatch):
         monkeypatch.setenv("BANDDET_LIMIT_TRANSFER", "9")
