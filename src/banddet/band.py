@@ -37,6 +37,10 @@ __all__ = [
     "spec_from_json",
 ]
 
+# The census tables of permcount.family_table, by name: named here, where
+# the CLI can list them without loading the census code
+_FAMILY_NAMES = ("menage-a", "menage-b", "excedance-k2")
+
 
 @dataclass(frozen=True)
 class BandSpec:

@@ -11,11 +11,10 @@ Exit codes: 0 success, 1 check failure, 2 usage error, 3 size guard.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-import time
 
-from . import band, checks, oracle, permcount
+# census and check code, and json, load in the verbs that use them
+from . import band, oracle
 from .errors import MixedRingError, SizeLimitError
 from .rings import _int_parse, element_to_json
 
@@ -23,6 +22,12 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
+
+
+def _dumps(obj) -> str:
+    import json
+
+    return json.dumps(obj)
 
 
 def _spec_line(spec) -> str:
@@ -58,7 +63,7 @@ def _cmd_det(args) -> int:
         )
         if factored is not None:
             out["factored"] = str(factored)
-        print(json.dumps(out))
+        print(_dumps(out))
         return EXIT_OK
     lines = [
         _spec_line(spec),
@@ -85,7 +90,7 @@ def _cmd_perm(args) -> int:
     if args.format == "json":
         out = band.spec_to_json(spec)
         out.update(method=args.method, per=element_to_json(value))
-        print(json.dumps(out))
+        print(_dumps(out))
     else:
         print(f"{_spec_line(spec)}\nmethod: {args.method}\nper: {value}")
     return EXIT_OK
@@ -101,19 +106,23 @@ def _emit_rows(keys, rows, fmt: str, **fixed) -> None:
             obj = {**fixed, keys[0]: row[0]}
             for key, value in zip(keys[1:], row[1:]):
                 obj[key] = str(value)
-            lines.append(json.dumps(obj))
+            lines.append(_dumps(obj))
     else:
         lines = [",".join(keys)] + [",".join(str(v) for v in row) for row in rows]
     print("\n".join(lines))
 
 
 def _cmd_table(args) -> int:
+    from . import permcount
+
     rows = permcount.family_table(args.family, args.n_max)
     _emit_rows(permcount._FAMILIES[args.family][1], rows, args.format)
     return EXIT_OK
 
 
 def _cmd_census(args) -> int:
+    from . import permcount
+
     c = permcount.excedance_census(args.n)
     rows = zip(range(1, c.n + 1), c.per_coeffs, c.det_coeffs, c.even, c.odd)
     _emit_rows(("k", "T", "c", "even", "odd"), rows, args.format, n=c.n)
@@ -121,6 +130,8 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from . import checks
+
     report = checks.run_checks(args.level)
     for suite in report.suites:
         print(f"{suite.name}: {suite.cases} cases, {len(suite.failures)} failures")
@@ -132,6 +143,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    import time
+
     sizes = [_int_parse(s) for s in args.sizes.split(",") if s]
     if not sizes or any(n < 1 for n in sizes):
         raise ValueError("sizes must be positive integers, comma-separated")
@@ -188,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_perm)
 
     p = sub.add_parser("table", help="census table of a named family")
-    p.add_argument("family", choices=permcount._FAMILIES)
+    p.add_argument("family", choices=band._FAMILY_NAMES)
     p.add_argument("n_max", type=_int_parse)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(handler=_cmd_table)

@@ -2,6 +2,15 @@
 every routine that takes an order refuses one below 1 through
 :func:`_require_order`, with the same message."""
 
+__all__ = [
+    "MixedRingError",
+    "InexactDivisionError",
+    "DivisibilityError",
+    "SizeLimitError",
+    "ParityError",
+    "InvalidPermutationError",
+]
+
 
 class MixedRingError(TypeError):
     """Binary operation applied to elements of different rings."""

@@ -18,7 +18,7 @@ from itertools import accumulate, permutations
 from math import comb, factorial, prod
 from operator import or_
 
-from .band import BandSpec, _band_run, band_rows, det_closed, materialize
+from .band import _FAMILY_NAMES, BandSpec, _band_run, band_rows, det_closed, materialize
 from .errors import (
     InvalidPermutationError,
     ParityError,
@@ -442,13 +442,14 @@ def _menage_row(zeros, det, n: int) -> tuple[int, int, int, int, int]:
     return (n, pc.permanent, pc.determinant, pc.even, pc.odd)
 
 
-# family -> (row of order n, column names); a seating row pairs a zero band with a det
+# family -> (row of order n, column names), in _FAMILY_NAMES order; a
+# seating row pairs a zero band with a det
 _SEATING = ("n", "per", "det", "even", "odd")
-_FAMILIES = {
-    "menage-a": (partial(_menage_row, _MENAGE_A_ZEROS, menage_a_det), _SEATING),
-    "menage-b": (partial(_menage_row, _MENAGE_B_ZEROS, menage_b_det), _SEATING),
-    "excedance-k2": (_excedance_k2_row, ("n", "T", "c", "even", "odd")),
-}
+_FAMILIES = dict(zip(_FAMILY_NAMES, (
+    (partial(_menage_row, _MENAGE_A_ZEROS, menage_a_det), _SEATING),
+    (partial(_menage_row, _MENAGE_B_ZEROS, menage_b_det), _SEATING),
+    (_excedance_k2_row, ("n", "T", "c", "even", "odd")),
+), strict=True))
 
 
 def family_table(family: str, n_max: int) -> list[tuple[int, int, int, int, int]]:

@@ -194,6 +194,39 @@ class TestTable:
         assert [row[1] for row in rows] == [menage_a_permanent_rec(n) for n in range(1, 26)]
         assert [row[0] for row in rows] == list(range(1, 26))
 
+    # the family names reach argparse before any census code is loaded;
+    # these pin what argparse makes of them, byte for byte
+    TABLE_USAGE = (
+        "usage: banddet table [-h] [--format {csv,json}]\n"
+        "                     {menage-a,menage-b,excedance-k2} n_max\n"
+    )
+
+    def test_help_bytes(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == self.TABLE_USAGE + (
+            "\n"
+            "positional arguments:\n"
+            "  {menage-a,menage-b,excedance-k2}\n"
+            "  n_max\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --format {csv,json}\n"
+        )
+
+    def test_unknown_family_usage_error_bytes(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "bogus", "3"])
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", self.TABLE_USAGE + (
+            "banddet table: error: argument family: invalid choice: 'bogus' "
+            "(choose from 'menage-a', 'menage-b', 'excedance-k2')\n"
+        ))
+
 
 class TestCensus:
     def test_rows(self, capsys):
