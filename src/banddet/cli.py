@@ -34,6 +34,25 @@ def _spec_line(spec) -> str:
     return f"spec: n={spec.n} k={spec.k} l={spec.l} a={spec.a} b={spec.b}"
 
 
+# dense --method -> (its oracle's name in `oracle`, the oracle's size guard)
+_DENSE = {
+    "laplace": ("det_laplace", "LAPLACE"),
+    "bareiss": ("det_bareiss", None),
+    "ryser": ("permanent_ryser", "RYSER_INT"),
+    "expansion": ("permanent_expansion", "EXPANSION"),
+}
+
+
+def _dense(method: str, spec, order: int):
+    """The oracle of a dense method, looked up on `oracle` now, and spec's
+    matrix, built only once the oracle's guard admits `order`: a refusal
+    costs nothing and reads as the oracle's own."""
+    name, guard = _DENSE[method]
+    if guard is not None:
+        oracle.check_size(guard, order, name)
+    return getattr(oracle, name), band.materialize(spec)
+
+
 def _cmd_det(args) -> int:
     spec = band.BandSpec(args.n, args.k, args.l, args.a, args.b)
     res = band.residue(spec)
@@ -45,11 +64,9 @@ def _cmd_det(args) -> int:
         if spec.l != 1:
             raise ValueError("--method recurrence applies only to l = 1 specs")
         value = band.det_recurrence(spec.n, spec.k, spec.a, spec.b)
-    elif args.method == "laplace":
-        oracle.check_size("LAPLACE", spec.n, "det_laplace")
-        value = oracle.det_laplace(band.materialize(spec))
     else:
-        value = oracle.det_bareiss(band.materialize(spec))
+        run, m = _dense(args.method, spec, spec.n)
+        value = run(m)
     # the whole answer is rendered before anything is printed, so a
     # render error leaves stdout empty
     if args.format == "json":
@@ -79,14 +96,8 @@ def _cmd_det(args) -> int:
 
 def _cmd_perm(args) -> int:
     spec = band.BandSpec(args.n, args.k, args.l, args.a, args.b)
-    # the oracle's size guard runs before the matrix is built, with the
-    # oracle's own name and label: a refusal costs nothing and reads the same
-    if args.method == "ryser":
-        oracle.check_size("RYSER_INT", spec.n, "permanent_ryser")
-        value = oracle.permanent_ryser(band.materialize(spec))
-    else:
-        oracle.check_size("EXPANSION", spec.n, "permanent_expansion")
-        value = oracle.permanent_expansion(band.materialize(spec))
+    run, m = _dense(args.method, spec, spec.n)
+    value = run(m)
     if args.format == "json":
         out = band.spec_to_json(spec)
         out.update(method=args.method, per=element_to_json(value))
@@ -116,7 +127,7 @@ def _cmd_table(args) -> int:
     from . import permcount
 
     rows = permcount.family_table(args.family, args.n_max)
-    _emit_rows(permcount._FAMILIES[args.family][1], rows, args.format)
+    _emit_rows(permcount._FAMILIES[args.family][-1], rows, args.format)
     return EXIT_OK
 
 
@@ -148,22 +159,18 @@ def _cmd_bench(args) -> int:
     sizes = [_int_parse(s) for s in args.sizes.split(",") if s]
     if not sizes or any(n < 1 for n in sizes):
         raise ValueError("sizes must be positive integers, comma-separated")
-    if args.method == "laplace":
-        oracle.check_size("LAPLACE", max(sizes), "det_laplace")
     # printed once, after every order agrees: a disagreement leaves stdout empty
     lines = ["n,closed_seconds,method,method_seconds,agree"]
     for n in sizes:
         # the window saturates at the matrix edge, so clamping keeps the matrix
         spec = band.BandSpec(n, min(args.k, n), min(args.l, n), args.a, args.b)
+        # the guard checks the largest order, so it refuses before any work
+        run, m = _dense(args.method, spec, max(sizes))
         t0 = time.perf_counter()
         closed = band.det_closed(spec)
         t_closed = time.perf_counter() - t0
-        m = band.materialize(spec)
         t0 = time.perf_counter()
-        if args.method == "laplace":
-            other = oracle.det_laplace(m)
-        else:
-            other = oracle.det_bareiss(m)
+        other = run(m)
         t_other = time.perf_counter() - t0
         if closed != other:
             print(f"error: methods disagree at n={n}", file=sys.stderr)

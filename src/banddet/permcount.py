@@ -13,24 +13,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate, permutations
 from math import comb, factorial, prod
-from operator import or_
+from operator import mul, or_
 
 from .band import _FAMILY_NAMES, BandSpec, _band_run, band_rows, det_closed, materialize
-from .errors import (
-    InvalidPermutationError,
-    ParityError,
-    _require_order,
-)
-from .oracle import (
-    DenseMatrix,
-    _exact_div,
-    check_size,
-    det_bareiss,
-    permanent_ryser,
-)
+from .errors import InvalidPermutationError, ParityError, _require_order
+from .oracle import DenseMatrix, _exact_div, check_size, det_bareiss, permanent_ryser
 from .rings import Poly
 
 __all__ = [
@@ -205,19 +194,22 @@ def _rook_numbers(board: list[int], max_width: int | None = None) -> list[int] |
     return [(packed >> (j * slot)) & low_bits for j in range(n + 1)]
 
 
-def _rook_permanent(r: list[int], a, c):
-    """per(aJ + cB) from the rook numbers r of the board B, by Kaplansky
-    and Riordan: sum_j c^j a^(n-j) (n-j)! r_j.  a and c are ints or
-    elements of one ring; the sum runs by Horner's rule in c."""
+def _hits(r: list[int], top: int) -> list[int]:
+    """Hit numbers e_0..e_top of the board B with rook numbers r: e_h
+    permutations meet B in exactly h positions (Riordan), 0 for h > n.
+    They are the Taylor coefficients at y = -1 of W(y) = sum_j (n-j)! r_j
+    y^j, as per(J + (x-1)B) = W(x-1).  A running sum of the coefficients
+    taken at y = -1, highest power first, divides by y + 1: its total is
+    the next e_h, up to sign, and its earlier sums the quotient."""
     n = len(r) - 1
-    a_pow = a**0
-    total = a_pow * r[n]
-    fact = 1
-    for j in range(n - 1, -1, -1):
-        a_pow = a_pow * a
-        fact *= n - j
-        total = c * total + a_pow * (fact * r[j])
-    return total
+    # (-1)^(n-j) (n-j)! r_j for j = n..0: the coefficients at y = -1, times (-1)^n
+    coeffs = [f * x for f, x in zip(accumulate(range(-1, -n - 1, -1), mul, initial=1), reversed(r))]
+    e = []
+    for h in range(min(top, n) + 1):
+        coeffs = list(accumulate(coeffs))
+        # the sign (-1)^n of the coefficients, flipped by each division
+        e.append(-coeffs.pop() if (n + h) & 1 else coeffs.pop())
+    return e + [0] * (top - n)
 
 
 # The widest profile parity_counts gives the DP.  At the TRANSFER default of
@@ -235,7 +227,7 @@ def parity_counts(A: CharMatrix) -> ParityCount:
     zeros = [mask ^ ((1 << n) - 1) for mask in _board(A.bits)]
     dense = A.to_dense()
     r = _rook_numbers(zeros, _PARITY_MAX_WIDTH)
-    per = permanent_ryser(dense).value if r is None else _rook_permanent(r, 1, -1)
+    per = permanent_ryser(dense).value if r is None else _hits(r, 0)[0]
     return ParityCount.split(per, det_bareiss(dense).value)
 
 
@@ -363,15 +355,14 @@ class ExcedanceCensus:
 def excedance_census(n: int) -> ExcedanceCensus:
     """Census from the permanent and determinant of the weak-excedance
     matrix: the k-th coefficients give class size and even-odd gap.  The
-    matrix is J + (x-1)B for the staircase board B, so the permanent comes
-    from B's rook numbers."""
+    matrix is J + (x-1)B for the staircase board B, so T(n, k) is B's hit
+    number e_k."""
     spec = _excedance_spec(n)
-    r = _rook_numbers(_band_board(spec.n, spec.k, spec.l))
-    per = _rook_permanent(r, spec.a, spec.b - spec.a)
-    if per.coeff(0) != 0:
+    hits = _hits(_rook_numbers(_band_board(n, spec.k, spec.l)), n)
+    if hits[0] != 0:
         raise ParityError("permutation with no weak excedance counted")
     det = det_closed(spec)
-    per_coeffs = tuple(per.coeff(k) for k in range(1, n + 1))
+    per_coeffs = tuple(hits[1:])
     det_coeffs = tuple(det.coeff(k) for k in range(1, n + 1))
     # an odd per + det floors to a pair that the census rejects as even + odd != per
     even = tuple((t + c) // 2 for t, c in zip(per_coeffs, det_coeffs))
@@ -428,35 +419,31 @@ def weak_excedance_class(n: int, count: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _excedance_k2_row(n: int) -> tuple[int, int, int, int, int]:
-    if n < 2:
-        return (n, 0, 0, 0, 0)
-    census = excedance_census(n)
-    return (n, census.per_coeffs[1], census.det_coeffs[1], census.even[1], census.odd[1])
-
-
-def _menage_row(zeros, det, n: int) -> tuple[int, int, int, int, int]:
-    # the seating matrix is J - Z for its band of zeros Z
-    r = _rook_numbers(_band_board(n, *zeros))
-    pc = ParityCount.split(_rook_permanent(r, 1, -1), det(n))
-    return (n, pc.permanent, pc.determinant, pc.even, pc.odd)
-
-
-# family -> (row of order n, column names), in _FAMILY_NAMES order; a
-# seating row pairs a zero band with a det
+# family -> (its band window (k, l) at order n, the hit number h its row
+# reads, its det at order n, column names), in _FAMILY_NAMES order.  A
+# seating matrix is J - Z for its zero band Z, so its class is e_0 of Z;
+# excedance-k2 is e_2 of the weak-excedance staircase.
 _SEATING = ("n", "per", "det", "even", "odd")
 _FAMILIES = dict(zip(_FAMILY_NAMES, (
-    (partial(_menage_row, _MENAGE_A_ZEROS, menage_a_det), _SEATING),
-    (partial(_menage_row, _MENAGE_B_ZEROS, menage_b_det), _SEATING),
-    (_excedance_k2_row, ("n", "T", "c", "even", "odd")),
+    (lambda n: _MENAGE_A_ZEROS, 0, menage_a_det, _SEATING),
+    (lambda n: _MENAGE_B_ZEROS, 0, menage_b_det, _SEATING),
+    (lambda n: (n, 1), 2, lambda n: det_closed(_excedance_spec(n)).coeff(2),
+     ("n", "T", "c", "even", "odd")),
 ), strict=True))
+
+
+def _family_row(family: str, n: int) -> tuple[int, int, int, int, int]:
+    window, h, det, _ = _FAMILIES[family]
+    per = _hits(_rook_numbers(_band_board(n, *window(n))), h)[h]
+    pc = ParityCount.split(per, det(n))
+    return (n, pc.permanent, pc.determinant, pc.even, pc.odd)
 
 
 def family_table(family: str, n_max: int) -> list[tuple[int, int, int, int, int]]:
     """Census rows for n = 1..n_max.
 
     menage-a, menage-b: (n, per, det, even, odd) with the permanent from
-    the rook numbers of the zero band and the determinant from the family
+    the hit numbers of the zero band and the determinant from the family
     closed form.
     excedance-k2: (n, T(n,2), c(n,2), even, odd).
     """
@@ -464,4 +451,4 @@ def family_table(family: str, n_max: int) -> list[tuple[int, int, int, int, int]
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     # largest order first, so the TRANSFER guard refuses before any work
-    return [_FAMILIES[family][0](n) for n in range(n_max, 0, -1)][::-1]
+    return [_family_row(family, n) for n in range(n_max, 0, -1)][::-1]

@@ -1,5 +1,6 @@
 import random
 from functools import partial
+from itertools import permutations
 from math import comb, factorial
 
 import pytest
@@ -291,12 +292,14 @@ class TestExcedanceCensus:
 
     def test_odd_per_plus_det_rejected(self, monkeypatch):
         # one extra permutation with two weak excedances makes T(4,2) + c(4,2) odd
-        real = permcount._rook_permanent
-        monkeypatch.setattr(
-            permcount,
-            "_rook_permanent",
-            lambda r, a, c: real(r, a, c) + Poly.variable() ** 2,
-        )
+        real = permcount._hits
+
+        def one_more_e2(r, top):
+            e = real(r, top)
+            e[2] += 1
+            return e
+
+        monkeypatch.setattr(permcount, "_hits", one_more_e2)
         with pytest.raises(ParityError, match="even \\+ odd != per"):
             excedance_census(4)
 
@@ -371,7 +374,15 @@ class TestFamilyTables:
             family_table(family, n_max)
         assert orders == []
         family_table(family, 6)
-        assert sorted(orders) == list(range(1 if family == "menage-a" else 2, 7))
+        assert sorted(orders) == list(range(1, 7))
+
+
+def _per_from_hits(e, a, b):
+    """per(aJ + (b-a)B) from the hit numbers e of B: a permutation that
+    meets B in h positions contributes a^(n-h) b^h."""
+    n = len(e) - 1
+    terms = [a ** (n - h) * b**h * e_h for h, e_h in enumerate(e)]
+    return sum(terms[1:], terms[0])
 
 
 def _checkerboard(n):
@@ -390,7 +401,7 @@ class TestRookCore:
                 for l in range(1, k + 1):
                     spec = BandSpec(n, k, l, a, b)
                     r = permcount._rook_numbers(permcount._band_board(n, k, l))
-                    got = permcount._rook_permanent(r, spec.a, spec.b - spec.a)
+                    got = _per_from_hits(permcount._hits(r, n), spec.a, spec.b)
                     want = permanent_ryser(materialize(spec))
                     assert got == want, (n, k, l)
 
@@ -405,8 +416,8 @@ class TestRookCore:
                 want = permanent_expansion(A.to_dense()).value
                 ones = permcount._board(bits)
                 zeros = permcount._board(tuple(tuple(1 - e for e in row) for row in bits))
-                assert permcount._rook_permanent(permcount._rook_numbers(ones), 0, 1) == want
-                assert permcount._rook_permanent(permcount._rook_numbers(zeros), 1, -1) == want
+                assert permcount._hits(permcount._rook_numbers(ones), n)[n] == want
+                assert _per_from_hits(permcount._hits(permcount._rook_numbers(zeros), n), 1, 0) == want
                 ferrers += permcount._is_ferrers(zeros)
                 assert parity_counts(A) == brute_force_parity(A)
         assert ferrers > 0
@@ -422,7 +433,20 @@ class TestRookCore:
             board = permcount._board(bits)
             assert permcount._is_ferrers(board)
             want = permanent_expansion(CharMatrix(tuple(bits)).to_dense()).value
-            assert permcount._rook_permanent(permcount._rook_numbers(board), 0, 1) == want
+            assert permcount._hits(permcount._rook_numbers(board), n)[n] == want
+
+    def test_hits_match_enumeration(self):
+        # e_h counts the permutations with exactly h positions in the window -l < pi(i) - i < k
+        for n in range(1, 8):
+            for k in range(1, n + 1):
+                for l in range(1, n + 1):
+                    want = [0] * (n + 3)
+                    for perm in permutations(range(n)):
+                        want[sum(-l < v - i < k for i, v in enumerate(perm))] += 1
+                    e = permcount._hits(permcount._rook_numbers(permcount._band_board(n, k, l)), n + 2)
+                    assert e == want, (n, k, l)
+                    assert e[n + 1 :] == [0, 0]
+                    assert sum(e) == factorial(n)
 
     def test_staircase_rook_numbers_are_stirling(self):
         # r_j of the weak-excedance staircase is S(n+1, n+1-j)
@@ -488,6 +512,13 @@ class TestRookCore:
 
 
 class TestLargeOrders:
+    def test_excedance_k2_is_eulerian_at_transfer_limit(self):
+        # T(n, 2) = 2^n - n - 1 and c(n, 2) = (-1)^n (n - 1) at every order up to the default limit
+        for n, t, c, _, _ in family_table("excedance-k2", 200):
+            assert t == 2**n - n - 1, n
+            assert c == (-1) ** n * (n - 1), n
+        assert sum(excedance_census(200).per_coeffs) == factorial(200)
+
     def test_menage_a_permanents_to_200(self):
         rows = family_table("menage-a", 200)
         assert [row[1] for row in rows] == [menage_a_permanent_rec(n) for n in range(1, 201)]
