@@ -247,8 +247,6 @@ def bordered_matrix(n: int, k: int, a, b) -> DenseMatrix:
     """The matrix whose determinant f_closed predicts: an (n-1)-order
     width-k band block with an all-a last row and column appended."""
     _require_order(n)
-    a = as_element(a)
-    b = as_element(b)
     if n > 1 and not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k} n={n}")
     block = band_rows(n - 1, k, 1, b, a)

@@ -135,7 +135,7 @@ def _cmd_census(args) -> int:
     from . import permcount
 
     c = permcount.excedance_census(args.n)
-    rows = zip(range(1, c.n + 1), c.per_coeffs, c.det_coeffs, c.even, c.odd)
+    rows = ((k, r.permanent, r.determinant, r.even, r.odd) for k, r in enumerate(c.rows, 1))
     _emit_rows(("k", "T", "c", "even", "odd"), rows, args.format, n=c.n)
     return EXIT_OK
 

@@ -1,6 +1,6 @@
 """Exception types shared across the package, and the one order rule:
 every routine that takes an order refuses one below 1 through
-:func:`_require_order`, with the same message."""
+:func:`_require_order`, and every matrix passes :func:`_require_square`."""
 
 __all__ = [
     "MixedRingError",
@@ -40,3 +40,10 @@ def _require_order(n: int, what: str = "order n") -> None:
     """Raise ValueError("<what> must be positive") when n < 1."""
     if n < 1:
         raise ValueError(f"{what} must be positive")
+
+
+def _require_square(rows) -> None:
+    """Refuse a matrix with no rows, or a row not as long as there are rows."""
+    _require_order(len(rows))
+    if set(map(len, rows)) != {len(rows)}:
+        raise ValueError("matrix must be square")

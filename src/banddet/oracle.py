@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import permutations
 
-from .errors import InexactDivisionError, SizeLimitError, _require_order
+from .errors import InexactDivisionError, MixedRingError, SizeLimitError, _require_square
 from .rings import Integer, RingElement, _int_parse, as_element
 
 __all__ = [
@@ -63,27 +63,32 @@ def check_size(name: str, n: int, what: str) -> None:
         )
 
 
+def _one_ring(rows) -> bool:
+    """Whether every entry is a ring element of the first entry's type."""
+    kind = type(rows[0][0])
+    for row in rows:
+        for e in row:
+            if type(e) is not kind:
+                return False
+    return issubclass(kind, RingElement)
+
+
 @dataclass(frozen=True)
 class DenseMatrix:
-    """Row-major square matrix with all entries from one ring."""
+    """Row-major square matrix with all entries from one ring, built from
+    any iterable of rows.  Plain ints become Integer; any other entry that
+    is not a ring element raises TypeError, and two rings MixedRingError."""
 
     rows: tuple[tuple[RingElement, ...], ...]
 
     def __post_init__(self) -> None:
-        n = len(self.rows)
-        _require_order(n)
-        kind = type(self.rows[0][0]) if self.rows[0] else None
-        for row in self.rows:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-            for e in row:
-                if type(e) is not kind:
-                    raise ValueError("all entries must come from one ring")
-
-    @classmethod
-    def from_rows(cls, rows) -> "DenseMatrix":
-        """Build from any iterable of iterables; plain ints become Integer."""
-        return cls(tuple(tuple(as_element(e) for e in row) for row in rows))
+        rows = tuple(map(tuple, self.rows))
+        _require_square(rows)
+        if not _one_ring(rows):
+            rows = tuple(tuple(map(as_element, row)) for row in rows)
+            if not _one_ring(rows):
+                raise MixedRingError("all entries must come from one ring")
+        object.__setattr__(self, "rows", rows)
 
     @property
     def n(self) -> int:
@@ -96,7 +101,7 @@ class DenseMatrix:
         return isinstance(self.rows[0][0], Integer)
 
     def transpose(self) -> "DenseMatrix":
-        return DenseMatrix(tuple(zip(*self.rows)))
+        return DenseMatrix(zip(*self.rows))
 
 
 def _raw_rows(m: DenseMatrix):
@@ -200,7 +205,8 @@ def permanent_ryser(m: DenseMatrix) -> RingElement:
     """
     n = m.n
     check_size("RYSER_INT" if m.is_integer() else "RYSER_POLY", n, "permanent_ryser")
-    cols, zero, _, wrap = _raw_rows(m.transpose())
+    rows, zero, _, wrap = _raw_rows(m)
+    cols = list(zip(*rows))
     sums = [zero] * n
     total = zero
     for g in range(1, 1 << n):

@@ -17,8 +17,8 @@ from itertools import accumulate, permutations
 from math import comb, factorial, prod
 from operator import mul, or_
 
-from .band import _FAMILY_NAMES, BandSpec, _band_run, band_rows, det_closed, materialize
-from .errors import InvalidPermutationError, ParityError, _require_order
+from .band import _FAMILY_NAMES, BandSpec, _band_run, band_rows, g_closed, materialize
+from .errors import InvalidPermutationError, ParityError, _require_order, _require_square
 from .oracle import DenseMatrix, _exact_div, check_size, det_bareiss, permanent_ryser
 from .rings import Poly
 
@@ -51,11 +51,8 @@ class CharMatrix:
     bits: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        n = len(self.bits)
-        _require_order(n)
+        _require_square(self.bits)
         for row in self.bits:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
             for e in row:
                 if type(e) is not int or e not in (0, 1):
                     raise ValueError("entries must be 0 or 1")
@@ -68,7 +65,7 @@ class CharMatrix:
         return self.bits[i]
 
     def to_dense(self) -> DenseMatrix:
-        return DenseMatrix.from_rows(self.bits)
+        return DenseMatrix(self.bits)
 
 
 @dataclass(frozen=True)
@@ -310,64 +307,55 @@ def menage_b_det(n: int) -> int:
     return (n - 1) // 3
 
 
-def _excedance_spec(n: int) -> BandSpec:
-    """The k = n spec: the variable b on and above the diagonal, 1 below."""
-    return BandSpec(n, n, 1, Poly.constant(1), Poly.variable())
-
-
 def excedance_matrix(n: int) -> DenseMatrix:
-    """Polynomial-ring matrix of the weak-excedance spec; its permanent
-    counts permutations by their number of weak excedances."""
-    return materialize(_excedance_spec(n))
+    """Polynomial-ring matrix of the k = n spec, the variable b on and above
+    the diagonal and 1 below; its permanent counts permutations by their
+    number of weak excedances."""
+    return materialize(BandSpec(n, n, 1, Poly.constant(1), Poly.variable()))
 
 
 @dataclass(frozen=True)
 class ExcedanceCensus:
     """Per-k census of order-n permutations by weak-excedance count k.
 
-    Coefficient tuples are indexed k-1 for k = 1..n.  per_coeffs holds
-    the class sizes T(n, k), det_coeffs the signed binomials
-    c(n, k) = (-1)^(n-k) C(n-1, k-1).
+    rows[k-1], for k = 1..n, splits the class T(n, k) by the signed
+    binomial c(n, k) = (-1)^(n-k) C(n-1, k-1): its permanent is T(n, k)
+    and its determinant c(n, k).  per_coeffs, det_coeffs, even and odd are
+    the columns of the rows, indexed k-1.
     """
 
     n: int
-    per_coeffs: tuple[int, ...]
-    det_coeffs: tuple[int, ...]
-    even: tuple[int, ...]
-    odd: tuple[int, ...]
+    rows: tuple[ParityCount, ...]
 
     def __post_init__(self) -> None:
         n = self.n
         _require_order(n)
-        for t in (self.per_coeffs, self.det_coeffs, self.even, self.odd):
-            if len(t) != n:
-                raise ValueError("coefficient tuples must have length n")
-        rows = zip(self.per_coeffs, self.det_coeffs, self.even, self.odd)
-        for k, (t, c, e, o) in enumerate(rows, start=1):
-            ParityCount(e, o, t, c)
+        if len(self.rows) != n:
+            raise ValueError("census must have one row for each k = 1..n")
+        for k, c in enumerate(self.det_coeffs, start=1):
             want = comb(n - 1, k - 1) if (n - k) % 2 == 0 else -comb(n - 1, k - 1)
             if c != want:
                 raise ParityError(
                     f"det coefficient {c} != (-1)^(n-k) C(n-1,k-1) = {want} at k={k}"
                 )
 
+    per_coeffs = property(lambda self: tuple(row.permanent for row in self.rows))
+    det_coeffs = property(lambda self: tuple(row.determinant for row in self.rows))
+    even = property(lambda self: tuple(row.even for row in self.rows))
+    odd = property(lambda self: tuple(row.odd for row in self.rows))
+
 
 def excedance_census(n: int) -> ExcedanceCensus:
     """Census from the permanent and determinant of the weak-excedance
     matrix: the k-th coefficients give class size and even-odd gap.  The
     matrix is J + (x-1)B for the staircase board B, so T(n, k) is B's hit
-    number e_k."""
-    spec = _excedance_spec(n)
-    hits = _hits(_rook_numbers(_band_board(n, spec.k, spec.l)), n)
+    number e_k, and det is the all-b-triangle form (b - 1)^(n-1) b."""
+    _require_order(n)
+    hits = _hits(_rook_numbers(_band_board(n, n, 1)), n)
     if hits[0] != 0:
         raise ParityError("permutation with no weak excedance counted")
-    det = det_closed(spec)
-    per_coeffs = tuple(hits[1:])
-    det_coeffs = tuple(det.coeff(k) for k in range(1, n + 1))
-    # an odd per + det floors to a pair that the census rejects as even + odd != per
-    even = tuple((t + c) // 2 for t, c in zip(per_coeffs, det_coeffs))
-    odd = tuple((t - c) // 2 for t, c in zip(per_coeffs, det_coeffs))
-    return ExcedanceCensus(n, per_coeffs, det_coeffs, even, odd)
+    det = g_closed(n, Poly.constant(1), Poly.variable())
+    return ExcedanceCensus(n, tuple(map(ParityCount.split, hits[1:], det.coeffs[1:])))
 
 
 def brute_force_excedance_census(n: int) -> ExcedanceCensus:
@@ -383,9 +371,7 @@ def brute_force_excedance_census(n: int) -> ExcedanceCensus:
             even[k - 1] += 1
         else:
             odd[k - 1] += 1
-    per_coeffs = tuple(e + o for e, o in zip(even, odd))
-    det_coeffs = tuple(e - o for e, o in zip(even, odd))
-    return ExcedanceCensus(n, per_coeffs, det_coeffs, tuple(even), tuple(odd))
+    return ExcedanceCensus(n, tuple(ParityCount(e, o, e + o, e - o) for e, o in zip(even, odd)))
 
 
 def _validate_one_line(perm) -> tuple[int, ...]:
@@ -427,7 +413,7 @@ _SEATING = ("n", "per", "det", "even", "odd")
 _FAMILIES = dict(zip(_FAMILY_NAMES, (
     (lambda n: _MENAGE_A_ZEROS, 0, menage_a_det, _SEATING),
     (lambda n: _MENAGE_B_ZEROS, 0, menage_b_det, _SEATING),
-    (lambda n: (n, 1), 2, lambda n: det_closed(_excedance_spec(n)).coeff(2),
+    (lambda n: (n, 1), 2, lambda n: g_closed(n, Poly.constant(1), Poly.variable()).coeff(2),
      ("n", "T", "c", "even", "odd")),
 ), strict=True))
 

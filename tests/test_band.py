@@ -285,6 +285,13 @@ class TestBorderedMatrix:
     def test_order_one(self):
         assert bordered_matrix(1, 1, 3, 4).rows == ((Integer(3),),)
 
+    def test_rejects_mixed_rings(self):
+        # the matrix refuses what f_closed, its determinant, refuses
+        with pytest.raises(MixedRingError):
+            bordered_matrix(3, 1, 1, Poly.variable())
+        with pytest.raises(MixedRingError):
+            f_closed(3, 1, Poly.variable())
+
 
 class TestBandRows:
     def test_window_wider_than_the_matrix_saturates(self):

@@ -43,12 +43,7 @@ def _two_more_members(pc):
 
 
 def _two_more_at_each_k(census):
-    return replace(
-        census,
-        per_coeffs=tuple(t + 2 for t in census.per_coeffs),
-        even=tuple(e + 1 for e in census.even),
-        odd=tuple(o + 1 for o in census.odd),
-    )
+    return replace(census, rows=tuple(map(_two_more_members, census.rows)))
 
 
 # corrupted function: (its module, the change to its result, the suite that

@@ -6,6 +6,7 @@ from banddet import (
     BandSpec,
     DenseMatrix,
     Integer,
+    MixedRingError,
     Poly,
     SizeLimitError,
     det_bareiss,
@@ -17,7 +18,7 @@ from banddet import (
 
 
 def int_matrix(rows):
-    return DenseMatrix.from_rows(rows)
+    return DenseMatrix(rows)
 
 
 def random_int_matrix(rng, n, lo=-5, hi=5):
@@ -198,16 +199,24 @@ class TestInvariants:
 
 
 class TestDenseMatrix:
+    def test_plain_ints_become_integer(self):
+        plain = DenseMatrix(((1, 2), (3, 4)))
+        wrapped = DenseMatrix(((Integer(1), Integer(2)), (Integer(3), Integer(4))))
+        assert plain == wrapped
+        oracles = {det_laplace: -2, det_bareiss: -2, permanent_ryser: 10, permanent_expansion: 10}
+        for run, want in oracles.items():
+            assert run(plain) == run(wrapped) == Integer(want), run.__name__
+
     def test_rejects_ragged(self):
-        with pytest.raises(ValueError):
-            DenseMatrix.from_rows([[1, 2], [3]])
+        with pytest.raises(ValueError, match="^matrix must be square$"):
+            DenseMatrix([[1, 2], [3]])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             DenseMatrix(())
 
     def test_rejects_mixed_rings(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MixedRingError):
             DenseMatrix(((Integer(1), Poly.variable()), (Integer(0), Integer(1))))
 
     def test_transpose(self):

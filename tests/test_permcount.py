@@ -275,20 +275,25 @@ class TestExcedanceCensus:
                 want = (-1) ** (n - k) * comb(n - 1, k - 1)
                 assert census.det_coeffs[k - 1] == want
 
+    @staticmethod
+    def _census(n, per, det, even, odd):
+        """The census whose k-th row is (even, odd, per, det)[k-1]."""
+        return ExcedanceCensus(n, tuple(map(ParityCount, even, odd, per, det)))
+
     def test_inconsistent_census_rejected(self):
         # order 3: T = (1, 4, 1), c = (1, -2, 1), even = (1, 1, 1), odd = (0, 3, 0)
-        census = ExcedanceCensus(3, (1, 4, 1), (1, -2, 1), (1, 1, 1), (0, 3, 0))
+        census = self._census(3, (1, 4, 1), (1, -2, 1), (1, 1, 1), (0, 3, 0))
         assert census == brute_force_excedance_census(3)
         with pytest.raises(ParityError, match="even \\+ odd != per"):
-            ExcedanceCensus(3, (1, 4, 1), (1, -2, 1), (1, 2, 1), (0, 3, 0))
+            self._census(3, (1, 4, 1), (1, -2, 1), (1, 2, 1), (0, 3, 0))
         with pytest.raises(ParityError, match="negative count"):
-            ExcedanceCensus(3, (1, 0, 1), (1, -2, 1), (1, -1, 1), (0, 1, 0))
+            self._census(3, (1, 0, 1), (1, -2, 1), (1, -1, 1), (0, 1, 0))
         with pytest.raises(ParityError, match="C\\(n-1,k-1\\)"):
-            ExcedanceCensus(3, (1, 4, 1), (1, 2, 1), (1, 3, 1), (0, 1, 0))
+            self._census(3, (1, 4, 1), (1, 2, 1), (1, 3, 1), (0, 1, 0))
 
     def test_order_must_be_positive(self):
         with pytest.raises(ValueError, match="order n must be positive"):
-            ExcedanceCensus(0, (), (), (), ())
+            ExcedanceCensus(0, ())
 
     def test_odd_per_plus_det_rejected(self, monkeypatch):
         # one extra permutation with two weak excedances makes T(4,2) + c(4,2) odd
@@ -518,6 +523,13 @@ class TestLargeOrders:
             assert t == 2**n - n - 1, n
             assert c == (-1) ** n * (n - 1), n
         assert sum(excedance_census(200).per_coeffs) == factorial(200)
+
+    def test_excedance_k2_table_is_the_census_k2_row(self):
+        # the table reads e_2 of the staircase and the census e_1..e_n: one row, two routes
+        table = family_table("excedance-k2", 60)
+        for n in range(2, 61):
+            r = excedance_census(n).rows[1]
+            assert table[n - 1][1:] == (r.permanent, r.determinant, r.even, r.odd), n
 
     def test_menage_a_permanents_to_200(self):
         rows = family_table("menage-a", 200)

@@ -48,7 +48,7 @@ ORDER_ZERO = {
     "menage_a_permanent_sum": lambda: menage_a_permanent_sum(0),
     "menage_a_det": lambda: menage_a_det(0),
     "menage_b_det": lambda: menage_b_det(0),
-    "ExcedanceCensus": lambda: ExcedanceCensus(0, (), (), (), ()),
+    "ExcedanceCensus": lambda: ExcedanceCensus(0, ()),
     "brute_force_excedance_census": lambda: brute_force_excedance_census(0),
 }
 
@@ -68,9 +68,9 @@ def test_order_zero_is_refused_with_one_message(call):
         (lambda: det_recurrence(3, 4, 1, 0), ValueError, "need 1 <= k <= n, got k=4 n=3"),
         (lambda: ParityCount(2, 1, 3, 2), ParityError, "even - odd != det (2-1 != 2)"),
         (
-            lambda: ExcedanceCensus(2, (1, 1), (-1, 1), (0, 1), (1,)),
+            lambda: ExcedanceCensus(2, (ParityCount(0, 1, 1, -1),)),
             ValueError,
-            "coefficient tuples must have length n",
+            "census must have one row for each k = 1..n",
         ),
         (lambda: Integer(1.5), TypeError, "Integer wraps a Python int"),
         (lambda: Poly((1,)).coeff(-1), ValueError, "power must be non-negative"),
@@ -78,11 +78,8 @@ def test_order_zero_is_refused_with_one_message(call):
         (lambda: element_from_json(3), TypeError, "cannot decode ring element from int"),
         (lambda: Integer(True), TypeError, "Integer wraps a Python int"),
         (lambda: BandSpec(3, 1, 1, True, False), TypeError, "Integer wraps a Python int"),
-        (
-            lambda: DenseMatrix.from_rows([[True, 0], [0, 1]]),
-            TypeError,
-            "Integer wraps a Python int",
-        ),
+        (lambda: DenseMatrix([[True, 0], [0, 1]]), TypeError, "Integer wraps a Python int"),
+        (lambda: DenseMatrix([[1.0, 0], [0, 1]]), TypeError, "Integer wraps a Python int"),
         (lambda: CharMatrix(((True, False), (False, True))), ValueError, "entries must be 0 or 1"),
         (lambda: CharMatrix(((1.0, 0.0), (0.0, 1.0))), ValueError, "entries must be 0 or 1"),
     ],
@@ -90,7 +87,7 @@ def test_order_zero_is_refused_with_one_message(call):
         "family_table", "det_case1", "bordered_matrix-width", "det_recurrence-width",
         "ParityCount", "ExcedanceCensus-short", "Integer-float", "Poly.coeff-negative",
         "element_to_json-int", "element_from_json-int", "Integer-bool", "BandSpec-bool-entries",
-        "DenseMatrix-bool", "CharMatrix-bool", "CharMatrix-float",
+        "DenseMatrix-bool", "DenseMatrix-float", "CharMatrix-bool", "CharMatrix-float",
     ],
 )
 def test_refusal(call, exc, message):
