@@ -34,10 +34,11 @@ def _spec_line(spec) -> str:
     return f"spec: n={spec.n} k={spec.k} l={spec.l} a={spec.a} b={spec.b}"
 
 
-# dense --method -> (its oracle's name in `oracle`, the oracle's size guard)
+# dense --method -> (its oracle's name in `oracle`, its size guard): the
+# oracle's own, or DENSE for Bareiss, which has none of its own
 _DENSE = {
     "laplace": ("det_laplace", "LAPLACE"),
-    "bareiss": ("det_bareiss", None),
+    "bareiss": ("det_bareiss", "DENSE"),
     "ryser": ("permanent_ryser", "RYSER_INT"),
     "expansion": ("permanent_expansion", "EXPANSION"),
 }
@@ -45,11 +46,10 @@ _DENSE = {
 
 def _dense(method: str, spec, order: int):
     """The oracle of a dense method, looked up on `oracle` now, and spec's
-    matrix, built only once the oracle's guard admits `order`: a refusal
-    costs nothing and reads as the oracle's own."""
+    matrix, built only once the method's guard admits `order`: a refusal
+    costs nothing and names the oracle."""
     name, guard = _DENSE[method]
-    if guard is not None:
-        oracle.check_size(guard, order, name)
+    oracle.check_size(guard, order, name)
     return getattr(oracle, name), band.materialize(spec)
 
 

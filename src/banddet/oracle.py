@@ -35,6 +35,7 @@ _DEFAULT_LIMITS = {
     "PARITY_ENUM": 10,
     "CENSUS_ENUM": 9,
     "TRANSFER": 200,  # the rook-number census paths of permcount (polynomial time)
+    "DENSE": 200,  # the CLI's Bareiss runs: n^2 entries, O(n^3) growing products
 }
 
 
@@ -99,9 +100,6 @@ class DenseMatrix:
 
     def is_integer(self) -> bool:
         return isinstance(self.rows[0][0], Integer)
-
-    def transpose(self) -> "DenseMatrix":
-        return DenseMatrix(zip(*self.rows))
 
 
 def _raw_rows(m: DenseMatrix):

@@ -46,16 +46,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CharMatrix:
-    """0/1 characteristic matrix of a restricted-permutation class."""
+    """0/1 characteristic matrix of a restricted-permutation class, built
+    from any iterable of rows."""
 
     bits: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        _require_square(self.bits)
-        for row in self.bits:
+        bits = tuple(map(tuple, self.bits))
+        _require_square(bits)
+        for row in bits:
             for e in row:
                 if type(e) is not int or e not in (0, 1):
                     raise ValueError("entries must be 0 or 1")
+        object.__setattr__(self, "bits", bits)
 
     @property
     def n(self) -> int:

@@ -6,6 +6,7 @@ import pytest
 from banddet import Integer, band, checks, permcount
 from banddet.checks import run_checks
 from banddet.cli import main
+from banddet.oracle import det_laplace
 
 QUICK_CASES = {
     "case1-vs-laplace": 560,
@@ -78,7 +79,8 @@ def test_corrupted_suite_is_caught(monkeypatch, name):
 def test_case2_zero_residues_must_vanish(monkeypatch):
     # closed form and oracle agree on 1 everywhere, but 1 < p < k+l-1 must give 0
     monkeypatch.setattr(band, "det_case2", lambda *args: Integer(1))
-    monkeypatch.setattr(checks, "det_laplace", lambda m: Integer(1))
+    ones = dict.fromkeys(checks.AB_PAIRS, Integer(1))
+    monkeypatch.setattr(checks, "_pair_dets", lambda *shape: ones)
     (case2,) = [s for s in run_checks("quick").suites if s.name == "case2-vs-laplace"]
     assert case2.failures[0] == "n=2 k=2 l=2 a=-2 b=-1 expected=1 got=1"
     zero_shapes = [
@@ -89,6 +91,39 @@ def test_case2_zero_residues_must_vanish(monkeypatch):
         if n % (k + l - 1) > 1
     ]
     assert len(case2.failures) == len(zero_shapes) * len(checks.AB_PAIRS) == 780
+
+
+def _case_shapes(n_max):
+    """Every (n, k, l) the case1 and case2 suites sweep up to order n_max."""
+    case1 = [(n, k, 1) for n in range(1, n_max + 1) for k in range(1, n + 1)]
+    case2 = [
+        (n, k, l) for n in range(2, n_max + 1) for k in range(2, n + 1) for l in range(2, k + 1)
+    ]
+    return case1 + case2
+
+
+def test_pair_dets_matches_laplace_for_every_pair():
+    # the determinant lemma behind _pair_dets, on every quick-level case
+    shapes = _case_shapes(7)
+    assert len(shapes) * len(checks.AB_PAIRS) == (
+        QUICK_CASES["case1-vs-laplace"] + QUICK_CASES["case2-vs-laplace"]
+    )
+    for n, k, l in shapes:
+        want = checks._pair_dets(n, k, l)
+        assert list(want) == checks.AB_PAIRS
+        for a, b in checks.AB_PAIRS:
+            spec = band.BandSpec(n, k, l, a, b)
+            assert want[a, b] == det_laplace(band.materialize(spec)), (n, k, l, a, b)
+
+
+def test_case_suites_take_two_laplace_calls_per_shape(monkeypatch):
+    calls = []
+    real = checks.det_laplace
+    monkeypatch.setattr(checks, "det_laplace", lambda m: calls.append(m.n) or real(m))
+    run_checks("quick")
+    case_calls = 2 * len(_case_shapes(7))
+    assert case_calls == 168
+    assert len(calls) == case_calls + QUICK_CASES["fg-closed-vs-laplace"]
 
 
 def test_every_failing_case_is_counted(monkeypatch, capsys):

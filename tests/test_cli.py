@@ -305,7 +305,7 @@ def _no_matrix(spec):
 class TestGuardsBeforeMatrix:
     @pytest.fixture(autouse=True)
     def default_limits(self, monkeypatch):
-        for name in ("LAPLACE", "RYSER_INT", "EXPANSION"):
+        for name in ("LAPLACE", "RYSER_INT", "EXPANSION", "DENSE"):
             monkeypatch.delenv(f"BANDDET_LIMIT_{name}", raising=False)
 
     @pytest.mark.parametrize(
@@ -326,8 +326,13 @@ class TestGuardsBeforeMatrix:
                 "det_laplace refuses order 3000 (limit 12; "
                 "set BANDDET_LIMIT_LAPLACE to override)",
             ),
+            (
+                ("det", "--method", "bareiss"),
+                "det_bareiss refuses order 3000 (limit 200; "
+                "set BANDDET_LIMIT_DENSE to override)",
+            ),
         ],
-        ids=["perm-ryser", "perm-expansion", "det-laplace"],
+        ids=["perm-ryser", "perm-expansion", "det-laplace", "det-bareiss"],
     )
     def test_refuses_without_building_the_matrix(self, capsys, monkeypatch, argv, message):
         monkeypatch.setattr(band, "materialize", _no_matrix)
@@ -336,6 +341,16 @@ class TestGuardsBeforeMatrix:
         assert code == 3
         assert out == ""
         assert err == f"error: {message}\n"
+
+    def test_bench_bareiss_refuses_without_building_a_matrix(self, capsys, monkeypatch):
+        monkeypatch.setattr(band, "materialize", _no_matrix)
+        code, out, err = run(capsys, "bench", "4,3000")
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: det_bareiss refuses order 3000 (limit 200; "
+            "set BANDDET_LIMIT_DENSE to override)\n"
+        )
 
     def test_bench_refuses_before_printing(self, capsys):
         code, out, err = run(capsys, "bench", "4,20", "--method", "laplace")

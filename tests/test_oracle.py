@@ -218,7 +218,3 @@ class TestDenseMatrix:
     def test_rejects_mixed_rings(self):
         with pytest.raises(MixedRingError):
             DenseMatrix(((Integer(1), Poly.variable()), (Integer(0), Integer(1))))
-
-    def test_transpose(self):
-        m = int_matrix([[1, 2], [3, 4]])
-        assert m.transpose() == int_matrix([[1, 3], [2, 4]])

@@ -57,6 +57,13 @@ class TestCharMatrix:
         with pytest.raises(ValueError):
             CharMatrix(((0, 1),))
 
+    def test_rows_are_normalized_to_tuples(self):
+        lists = CharMatrix([[1, 0], [0, 1]])
+        tuples = CharMatrix(((1, 0), (0, 1)))
+        assert lists.bits == tuples.bits == ((1, 0), (0, 1))
+        assert lists == tuples
+        assert hash(lists) == hash(tuples)
+
     def test_to_dense(self):
         dense = menage_a_matrix(2).to_dense()
         assert det_bareiss(dense).value == 0
