@@ -10,9 +10,7 @@ cross-checking the l = 1 case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import MixedRingError, _require_order
+from .errors import MixedRingError, _Record, _require_order
 from .oracle import DenseMatrix, _exact_div
 from .rings import RingElement, as_element, element_from_json, element_to_json
 
@@ -42,8 +40,7 @@ __all__ = [
 _FAMILY_NAMES = ("menage-a", "menage-b", "excedance-k2")
 
 
-@dataclass(frozen=True)
-class BandSpec:
+class BandSpec(_Record):
     """Five-parameter band description with int 1 <= l <= k <= n and a != b
     (a bool or float order or width raises TypeError).
 
@@ -52,36 +49,32 @@ class BandSpec:
     unchanged; entry positions reflect the normalized orientation.
     """
 
-    n: int
-    k: int
-    l: int
-    a: RingElement
-    b: RingElement
+    __slots__ = ("n", "k", "l", "a", "b")
 
-    def __post_init__(self) -> None:
-        for name in ("n", "k", "l"):
-            v = getattr(self, name)
-            if type(v) is not int:
-                raise TypeError(f"{name} must be an int, got {v!r}")
-        object.__setattr__(self, "a", as_element(self.a))
-        object.__setattr__(self, "b", as_element(self.b))
-        if self.l > self.k:
-            k, l = self.l, self.k
-            object.__setattr__(self, "k", k)
-            object.__setattr__(self, "l", l)
-        _require_order(self.n)
-        if not 1 <= self.l <= self.k <= self.n:
-            raise ValueError(
-                f"need 1 <= l <= k <= n, got n={self.n} k={self.k} l={self.l}"
-            )
-        if type(self.a) is not type(self.b):
+    def __init__(self, n: int, k: int, l: int, a, b) -> None:
+        if not type(n) is type(k) is type(l) is int:
+            name, v = next((name, v) for name, v in zip("nkl", (n, k, l)) if type(v) is not int)
+            raise TypeError(f"{name} must be an int, got {v!r}")
+        a, b = as_element(a), as_element(b)
+        if l > k:
+            k, l = l, k
+        _require_order(n)
+        if not 1 <= l <= k <= n:
+            raise ValueError(f"need 1 <= l <= k <= n, got n={n} k={k} l={l}")
+        if type(a) is not type(b):
             raise MixedRingError("a and b must come from the same ring")
-        if self.a == self.b:
+        if a == b:
             raise ValueError("a and b must differ")
+        # one by one: _Record's loop over the fields is a large share of the construction
+        set_n, set_k, set_l, set_a, set_b = self._setters
+        set_n(self, n)
+        set_k(self, k)
+        set_l(self, l)
+        set_a(self, a)
+        set_b(self, b)
 
 
-@dataclass(frozen=True)
-class BandResidue:
+class BandResidue(_Record):
     """Residue of n under the case-appropriate convention.
 
     case 1 (l = 1):  n = k*quotient + p with 0 < p <= k.
@@ -91,9 +84,7 @@ class BandResidue:
     it) and are kept separate on purpose.
     """
 
-    p: int
-    quotient: int
-    case: int
+    __slots__ = ("p", "quotient", "case")
 
 
 def _band_run(n: int, k: int, l: int, i: int) -> tuple[int, int]:
@@ -131,18 +122,14 @@ def residue(spec: BandSpec) -> BandResidue:
     return _residue(spec.n, spec.k, spec.l)
 
 
-@dataclass(frozen=True)
-class FactoredDet:
+class FactoredDet(_Record):
     """Determinant kept as sign * base**exponent * tail.
 
     Avoids expanding the power at very large n and is what the CLI shows;
     :meth:`expand` produces the plain ring element.
     """
 
-    sign: int
-    base: RingElement
-    exponent: int
-    tail: RingElement
+    __slots__ = ("sign", "base", "exponent", "tail")
 
     def expand(self) -> RingElement:
         if self.tail.is_zero():

@@ -9,9 +9,8 @@ module object so a corrupted implementation is observable here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import band, permcount
+from .errors import _Record
 from .oracle import det_laplace
 
 __all__ = ["SuiteResult", "CheckReport", "run_checks"]
@@ -19,40 +18,24 @@ __all__ = ["SuiteResult", "CheckReport", "run_checks"]
 AB_PAIRS = [(a, b) for a in range(-2, 3) for b in range(-2, 3) if a != b]
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    cases: int = 0
-    failures: list[str] = field(default_factory=list)
+class SuiteResult(_Record):
+    __slots__ = ("name", "cases", "failures")
 
 
-@dataclass
-class CheckReport:
-    level: str
-    suites: list[SuiteResult]
+class CheckReport(_Record):
+    __slots__ = ("level", "suites")
 
-    @property
-    def cases(self) -> int:
-        return sum(s.cases for s in self.suites)
-
-    @property
-    def failures(self) -> list[str]:
-        return [f"{s.name}: {f}" for s in self.suites for f in s.failures]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
+    cases = property(lambda self: sum(s.cases for s in self.suites))
+    failures = property(lambda self: [f"{s.name}: {f}" for s in self.suites for f in s.failures])
+    ok = property(lambda self: not self.failures)
 
 
 def _sweep(name: str, cases) -> SuiteResult:
     """Run a suite's (label, got, want, ok) cases and count them."""
-    out = SuiteResult(name)
-    for label, got, want, ok in cases:
-        out.cases += 1
-        # suites run smallest-first, so the first failure kept is the minimal one
-        if not ok:
-            out.failures.append(f"{label} expected={want} got={got}")
-    return out
+    cases = list(cases)
+    # suites run smallest-first, so the first failure kept is the minimal one
+    bad = (f"{label} expected={want} got={got}" for label, got, want, ok in cases if not ok)
+    return SuiteResult(name, len(cases), tuple(bad))
 
 
 def _pair_dets(n: int, k: int, l: int) -> dict:
@@ -143,7 +126,7 @@ def run_checks(level: str = "quick") -> CheckReport:
     if level not in _LEVELS:
         raise ValueError(f"unknown level {level!r}")
     t_max, fg_max, enum_max, census_max = _LEVELS[level]
-    suites = [
+    suites = (
         _sweep("case1-vs-laplace", _case1_cases(t_max)),
         _sweep("case2-vs-laplace", _case2_cases(t_max)),
         _sweep("recurrence-vs-case1", _recurrence_cases(12)),
@@ -151,5 +134,5 @@ def run_checks(level: str = "quick") -> CheckReport:
         _sweep("all-b-rows-vs-scan", _row_count_cases(10)),
         _sweep("parity-vs-enumeration", _parity_cases(enum_max)),
         _sweep("excedance-census-vs-enumeration", _census_cases(census_max)),
-    ]
+    )
     return CheckReport(level, suites)

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the one order rule:
-every routine that takes an order refuses one below 1 through
-:func:`_require_order`, and every matrix passes :func:`_require_square`."""
+"""Exception types shared across the package, the one order rule
+(:func:`_require_order`, and :func:`_require_square` for matrices) and
+:class:`_Record`, the base of the package's immutable value classes."""
+
+from operator import attrgetter
 
 __all__ = [
     "MixedRingError",
@@ -47,3 +49,46 @@ def _require_square(rows) -> None:
     _require_order(len(rows))
     if set(map(len, rows)) != {len(rows)}:
         raise ValueError("matrix must be square")
+
+
+class _Record:
+    """An immutable value whose fields are its class's ``__slots__``, set in
+    order by the base ``__init__``; a class that checks its fields does so
+    in its own first.  Equality, hash and repr read the fields."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields += cls.__dict__.get("__slots__", ())
+        # each slot's own setter, which the refusing __setattr__ does not block
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+        if cls._fields:
+            # one field gives its bare value, several a tuple: either compares
+            cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *values) -> None:
+        for set_field, value in zip(self._setters, values, strict=True):
+            set_field(self, value)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot set or delete field {name!r} of an immutable value")
+
+    __delattr__ = __setattr__
+
+    # det_laplace tests `e != zero` for every entry: != is one call, not == inverted
+    def __eq__(self, other):
+        return self._key(self) == self._key(other) if type(other) is type(self) else NotImplemented
+
+    def __ne__(self, other):
+        return self._key(self) != self._key(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild the value through __init__
+        return type(self), tuple(map(self.__getattribute__, self._fields))

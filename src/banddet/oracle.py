@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import operator
 import os
-from dataclasses import dataclass
 from functools import reduce
 from itertools import permutations
 
-from .errors import InexactDivisionError, MixedRingError, SizeLimitError, _require_square
+from .errors import InexactDivisionError, MixedRingError, SizeLimitError, _Record, _require_square
 from .rings import Integer, RingElement, _int_parse, as_element
 
 __all__ = [
@@ -74,26 +73,23 @@ def _one_ring(rows) -> bool:
     return issubclass(kind, RingElement)
 
 
-@dataclass(frozen=True)
-class DenseMatrix:
+class DenseMatrix(_Record):
     """Row-major square matrix with all entries from one ring, built from
     any iterable of rows.  Plain ints become Integer; any other entry that
     is not a ring element raises TypeError, and two rings MixedRingError."""
 
-    rows: tuple[tuple[RingElement, ...], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self) -> None:
-        rows = tuple(map(tuple, self.rows))
+    def __init__(self, rows) -> None:
+        rows = tuple(map(tuple, rows))
         _require_square(rows)
         if not _one_ring(rows):
             rows = tuple(tuple(map(as_element, row)) for row in rows)
             if not _one_ring(rows):
                 raise MixedRingError("all entries must come from one ring")
-        object.__setattr__(self, "rows", rows)
+        super().__init__(rows)
 
-    @property
-    def n(self) -> int:
-        return len(self.rows)
+    n = property(lambda self: len(self.rows))
 
     def __getitem__(self, i: int) -> tuple[RingElement, ...]:
         return self.rows[i]

@@ -12,13 +12,12 @@ enumeration for cross-checking.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import accumulate, permutations
 from math import comb, factorial, prod
 from operator import mul, or_
 
 from .band import _FAMILY_NAMES, BandSpec, _band_run, band_rows, g_closed, materialize
-from .errors import InvalidPermutationError, ParityError, _require_order, _require_square
+from .errors import InvalidPermutationError, ParityError, _Record, _require_order, _require_square
 from .oracle import DenseMatrix, _exact_div, check_size, det_bareiss, permanent_ryser
 from .rings import Poly
 
@@ -44,25 +43,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CharMatrix:
+class CharMatrix(_Record):
     """0/1 characteristic matrix of a restricted-permutation class, built
     from any iterable of rows."""
 
-    bits: tuple[tuple[int, ...], ...]
+    __slots__ = ("bits",)
 
-    def __post_init__(self) -> None:
-        bits = tuple(map(tuple, self.bits))
+    def __init__(self, bits) -> None:
+        bits = tuple(map(tuple, bits))
         _require_square(bits)
-        for row in bits:
-            for e in row:
-                if type(e) is not int or e not in (0, 1):
-                    raise ValueError("entries must be 0 or 1")
-        object.__setattr__(self, "bits", bits)
+        if any(type(e) is not int or e not in (0, 1) for row in bits for e in row):
+            raise ValueError("entries must be 0 or 1")
+        super().__init__(bits)
 
-    @property
-    def n(self) -> int:
-        return len(self.bits)
+    n = property(lambda self: len(self.bits))
 
     def __getitem__(self, i: int) -> tuple[int, ...]:
         return self.bits[i]
@@ -71,31 +65,29 @@ class CharMatrix:
         return DenseMatrix(self.bits)
 
 
-@dataclass(frozen=True)
-class ParityCount:
+class ParityCount(_Record):
     """Even/odd class sizes with their permanent/determinant provenance."""
 
-    even: int
-    odd: int
-    permanent: int
-    determinant: int
+    __slots__ = ("even", "odd", "permanent", "determinant")
 
-    def __post_init__(self) -> None:
-        if self.even < 0 or self.odd < 0:
-            raise ParityError(f"negative count: even={self.even} odd={self.odd}")
-        if self.even + self.odd != self.permanent:
-            raise ParityError(
-                f"even + odd != per ({self.even}+{self.odd} != {self.permanent})"
-            )
-        if self.even - self.odd != self.determinant:
-            raise ParityError(
-                f"even - odd != det ({self.even}-{self.odd} != {self.determinant})"
-            )
+    def __init__(self, even: int, odd: int, permanent: int, determinant: int) -> None:
+        if even < 0 or odd < 0:
+            raise ParityError(f"negative count: even={even} odd={odd}")
+        if even + odd != permanent:
+            raise ParityError(f"even + odd != per ({even}+{odd} != {permanent})")
+        if even - odd != determinant:
+            raise ParityError(f"even - odd != det ({even}-{odd} != {determinant})")
+        # one by one, as in BandSpec: every census row builds one
+        set_even, set_odd, set_permanent, set_determinant = self._setters
+        set_even(self, even)
+        set_odd(self, odd)
+        set_permanent(self, permanent)
+        set_determinant(self, determinant)
 
     @classmethod
     def split(cls, per: int, det: int) -> "ParityCount":
         """The census with the given per and det: (per +- det)/2.  An odd
-        per + det floors to a pair whose sum is not per, which __post_init__
+        per + det floors to a pair whose sum is not per, which __init__
         raises as ParityError instead of rounding."""
         return cls((per + det) // 2, (per - det) // 2, per, det)
 
@@ -317,8 +309,7 @@ def excedance_matrix(n: int) -> DenseMatrix:
     return materialize(BandSpec(n, n, 1, Poly.constant(1), Poly.variable()))
 
 
-@dataclass(frozen=True)
-class ExcedanceCensus:
+class ExcedanceCensus(_Record):
     """Per-k census of order-n permutations by weak-excedance count k.
 
     rows[k-1], for k = 1..n, splits the class T(n, k) by the signed
@@ -327,20 +318,17 @@ class ExcedanceCensus:
     the columns of the rows, indexed k-1.
     """
 
-    n: int
-    rows: tuple[ParityCount, ...]
+    __slots__ = ("n", "rows")
 
-    def __post_init__(self) -> None:
-        n = self.n
+    def __init__(self, n: int, rows: tuple[ParityCount, ...]) -> None:
         _require_order(n)
-        if len(self.rows) != n:
+        if len(rows) != n:
             raise ValueError("census must have one row for each k = 1..n")
-        for k, c in enumerate(self.det_coeffs, start=1):
+        for k, c in enumerate((row.determinant for row in rows), start=1):
             want = comb(n - 1, k - 1) if (n - k) % 2 == 0 else -comb(n - 1, k - 1)
             if c != want:
-                raise ParityError(
-                    f"det coefficient {c} != (-1)^(n-k) C(n-1,k-1) = {want} at k={k}"
-                )
+                raise ParityError(f"det coefficient {c} != (-1)^(n-k) C(n-1,k-1) = {want} at k={k}")
+        super().__init__(n, rows)
 
     per_coeffs = property(lambda self: tuple(row.permanent for row in self.rows))
     det_coeffs = property(lambda self: tuple(row.determinant for row in self.rows))

@@ -12,10 +12,9 @@ element interface so further rings could be added without touching it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import zip_longest
 
-from .errors import MixedRingError
+from .errors import MixedRingError, _Record
 
 __all__ = [
     "RingElement",
@@ -121,7 +120,7 @@ def _int_parse(s: object) -> int:
     return -x if s[0] == "-" else x
 
 
-class RingElement:
+class RingElement(_Record):
     """An immutable element of a supported commutative ring with unit."""
 
     __slots__ = ()
@@ -142,7 +141,7 @@ class RingElement:
         if exponent < 0:
             raise ValueError("exponent must be non-negative")
         if isinstance(self, Poly) and len(self.coeffs) == 2:
-            return Poly(_binomial_coeffs(*self.coeffs, exponent))
+            return _poly(tuple(_binomial_coeffs(*self.coeffs, exponent)))
         result = self.ring_one()
         base = self
         e = exponent
@@ -158,15 +157,15 @@ class RingElement:
         return self + (-other)
 
 
-@dataclass(frozen=True, slots=True)
 class Integer(RingElement):
     """Arbitrary-precision signed integer; wraps exactly an int, not a bool."""
 
-    value: int
+    __slots__ = ("value",)
 
-    def __post_init__(self) -> None:
-        if type(self.value) is not int:
+    def __init__(self, value: int) -> None:
+        if type(value) is not int:
             raise TypeError("Integer wraps a Python int")
+        _set_value(self, value)
 
     def ring_zero(self) -> "Integer":
         return Integer(0)
@@ -201,22 +200,24 @@ class Integer(RingElement):
         return _int_str(self.value)
 
 
-@dataclass(frozen=True, slots=True)
 class Poly(RingElement):
     """Integer-coefficient polynomial, dense ascending coefficients.
 
     Canonical form: no trailing zero coefficients; the zero polynomial is
     the empty tuple.  The variable prints as ``b``, the symbol used for
-    the in-band value throughout this package.
+    the in-band value throughout this package.  A coefficient that is not
+    exactly an int (a bool or a float) raises TypeError.
     """
 
-    coeffs: tuple[int, ...] = ()
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        cs = tuple(self.coeffs)
+    def __init__(self, coeffs=()) -> None:
+        cs = tuple(coeffs)
+        if not set(map(type, cs)) <= {int}:
+            raise TypeError("Poly coefficients must be Python ints")
         while cs and cs[-1] == 0:
             cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
+        _set_coeffs(self, cs)
 
     @classmethod
     def constant(cls, c: int) -> "Poly":
@@ -245,35 +246,35 @@ class Poly(RingElement):
         return acc
 
     def ring_zero(self) -> "Poly":
-        return Poly(())
+        return _poly(())
 
     def ring_one(self) -> "Poly":
-        return Poly((1,))
+        return _poly((1,))
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def __add__(self, other: "Poly") -> "Poly":
         _require_same_ring(self, other, "add")
-        return Poly(
+        return _poly(
             tuple(x + y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=0))
         )
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return _poly(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other: "Poly | int") -> "Poly":
         if isinstance(other, int):
-            return Poly(tuple(c * other for c in self.coeffs))
+            return _poly(tuple(c * other for c in self.coeffs))
         _require_same_ring(self, other, "multiply")
         if not self.coeffs or not other.coeffs:
-            return Poly(())
+            return _poly(())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, ci in enumerate(self.coeffs):
             if ci:
                 for j, cj in enumerate(other.coeffs):
                     out[i + j] += ci * cj
-        return Poly(tuple(out))
+        return _poly(tuple(out))
 
     __rmul__ = __mul__
 
@@ -297,6 +298,19 @@ class Poly(RingElement):
             else:
                 parts.append(f"- {term}" if c < 0 else f"+ {term}")
         return " ".join(parts)
+
+
+_set_value, _set_coeffs = Integer._setters + Poly._setters
+
+
+def _poly(cs: tuple) -> Poly:
+    """The Poly of int coefficients computed from other Polys' ones, built
+    without Poly's type check: ring arithmetic makes no other kind."""
+    while cs and cs[-1] == 0:
+        cs = cs[:-1]
+    p = object.__new__(Poly)
+    _set_coeffs(p, cs)
+    return p
 
 
 def as_element(v: "RingElement | int") -> RingElement:

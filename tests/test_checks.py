@@ -1,9 +1,8 @@
 import operator
-from dataclasses import replace
 
 import pytest
 
-from banddet import Integer, band, checks, permcount
+from banddet import ExcedanceCensus, Integer, ParityCount, band, checks, permcount
 from banddet.checks import run_checks
 from banddet.cli import main
 from banddet.oracle import det_laplace
@@ -40,11 +39,11 @@ def _one_more(value):
 
 def _two_more_members(pc):
     # one more even and one more odd member keeps the census self-consistent
-    return replace(pc, even=pc.even + 1, odd=pc.odd + 1, permanent=pc.permanent + 2)
+    return ParityCount(pc.even + 1, pc.odd + 1, pc.permanent + 2, pc.determinant)
 
 
 def _two_more_at_each_k(census):
-    return replace(census, rows=tuple(map(_two_more_members, census.rows)))
+    return ExcedanceCensus(census.n, tuple(map(_two_more_members, census.rows)))
 
 
 # corrupted function: (its module, the change to its result, the suite that

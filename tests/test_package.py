@@ -1,12 +1,15 @@
 """The package namespace re-exports each module's ``__all__``, lazily; its
 public names are pinned so the re-export can neither drop nor add one, and
-each CLI verb is pinned to the modules it loads."""
+each CLI verb is pinned to the modules it loads, none of them
+``dataclasses`` or ``inspect``."""
 
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import banddet
 
@@ -109,3 +112,27 @@ def test_a_name_loads_only_its_owner_and_what_it_imports():
         "print(*sorted(m for m in sys.modules if m.startswith('banddet')))"
     )
     assert fresh(script).split() == sorted(set(CORE) - {"banddet.cli"})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "det --n 9 --k 2 --l 2 --a 1 --b 0",
+        "perm --n 5 --k 2 --l 1 --a 1 --b 0",
+        "table menage-a 6",
+        "census --n 5",
+        "check --level quick",
+        "bench 4,9",
+    ],
+)
+def test_no_verb_loads_dataclasses_or_inspect(argv):
+    # a fresh interpreter: pytest itself has loaded both in this one
+    script = (
+        "import os, sys\n"
+        "from banddet.cli import main\n"
+        "stdout, sys.stdout = sys.stdout, open(os.devnull, 'w')\n"
+        f"code = main({argv.split()!r})\n"
+        "sys.stdout = stdout\n"
+        "print(code, *(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    assert fresh(script).split() == ["0"]

@@ -82,12 +82,23 @@ def test_order_zero_is_refused_with_one_message(call):
         (lambda: DenseMatrix([[1.0, 0], [0, 1]]), TypeError, "Integer wraps a Python int"),
         (lambda: CharMatrix(((True, False), (False, True))), ValueError, "entries must be 0 or 1"),
         (lambda: CharMatrix(((1.0, 0.0), (0.0, 1.0))), ValueError, "entries must be 0 or 1"),
+        (lambda: Poly((0.5, 1)), TypeError, "Poly coefficients must be Python ints"),
+        (lambda: Poly((True,)), TypeError, "Poly coefficients must be Python ints"),
+        (lambda: Poly.constant(1.0), TypeError, "Poly coefficients must be Python ints"),
+        (
+            lambda: element_from_json(["1", "0.5"]),
+            ValueError,
+            "not a canonical decimal integer: '0.5'",
+        ),
+        (lambda: element_from_json([True]), ValueError, "not a canonical decimal integer: True"),
     ],
     ids=[
         "family_table", "det_case1", "bordered_matrix-width", "det_recurrence-width",
         "ParityCount", "ExcedanceCensus-short", "Integer-float", "Poly.coeff-negative",
         "element_to_json-int", "element_from_json-int", "Integer-bool", "BandSpec-bool-entries",
         "DenseMatrix-bool", "DenseMatrix-float", "CharMatrix-bool", "CharMatrix-float",
+        "Poly-float", "Poly-bool", "Poly.constant-float", "element_from_json-poly-float",
+        "element_from_json-poly-bool",
     ],
 )
 def test_refusal(call, exc, message):
