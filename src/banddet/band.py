@@ -10,7 +10,7 @@ cross-checking the l = 1 case.
 
 from __future__ import annotations
 
-from .errors import MixedRingError, _Record, _require_order
+from .errors import MixedRingError, _Record, _require_int, _require_order
 from .oracle import DenseMatrix, _exact_div
 from .rings import RingElement, as_element, element_from_json, element_to_json
 
@@ -53,13 +53,13 @@ class BandSpec(_Record):
 
     def __init__(self, n: int, k: int, l: int, a, b) -> None:
         if not type(n) is type(k) is type(l) is int:
-            name, v = next((name, v) for name, v in zip("nkl", (n, k, l)) if type(v) is not int)
-            raise TypeError(f"{name} must be an int, got {v!r}")
+            for name, v in zip("nkl", (n, k, l)):
+                _require_int(name, v)
         a, b = as_element(a), as_element(b)
         if l > k:
             k, l = l, k
-        _require_order(n)
         if not 1 <= l <= k <= n:
+            _require_order(n)  # n < 1 fails with the order rule's message
             raise ValueError(f"need 1 <= l <= k <= n, got n={n} k={k} l={l}")
         if type(a) is not type(b):
             raise MixedRingError("a and b must come from the same ring")
@@ -96,6 +96,8 @@ def _band_run(n: int, k: int, l: int, i: int) -> tuple[int, int]:
 
 def entry(spec: BandSpec, i: int, j: int) -> RingElement:
     """Entry at 1-based (i, j): b inside the band window, a outside it."""
+    _require_int("i", i)
+    _require_int("j", j)
     if not (1 <= i <= spec.n and 1 <= j <= spec.n):
         raise IndexError(f"position ({i}, {j}) outside order {spec.n}")
     lo, hi = _band_run(spec.n, spec.k, spec.l, i - 1)
@@ -179,6 +181,8 @@ def det_case1(n: int, k: int, a, b) -> RingElement:
     k > n is allowed: the band window saturates and the value reduces to
     the all-b-triangle form, matching the matrix the window rule gives.
     """
+    _require_int("n", n)
+    _require_int("k", k)
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n} k={k}")
     return _factored(n, k, 1, as_element(a), as_element(b)).expand()
@@ -196,6 +200,9 @@ def det_case2(n: int, k: int, l: int, a, b) -> RingElement:
     without division.  Widths beyond n are allowed; the window rule
     saturates and the formula stays exact.
     """
+    _require_int("n", n)
+    _require_int("k", k)
+    _require_int("l", l)
     if n < 1 or not 1 < l <= k:
         raise ValueError(f"need n >= 1 and 1 < l <= k, got n={n} k={k} l={l}")
     return _factored(n, k, l, as_element(a), as_element(b)).expand()
@@ -234,6 +241,7 @@ def bordered_matrix(n: int, k: int, a, b) -> DenseMatrix:
     """The matrix whose determinant f_closed predicts: an (n-1)-order
     width-k band block with an all-a last row and column appended."""
     _require_order(n)
+    _require_int("k", k)
     if n > 1 and not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k} n={n}")
     block = band_rows(n - 1, k, 1, b, a)
@@ -248,6 +256,8 @@ def det_recurrence(n: int, k: int, a, b) -> RingElement:
 
     with the k = n spec handled by g_closed.  Independent of det_case1;
     used as a cross-check path."""
+    _require_int("n", n)
+    _require_int("k", k)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k} n={n}")
     a = as_element(a)

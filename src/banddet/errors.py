@@ -1,6 +1,7 @@
-"""Exception types shared across the package, the one order rule
-(:func:`_require_order`, and :func:`_require_square` for matrices) and
-:class:`_Record`, the base of the package's immutable value classes."""
+"""Exception types shared across the package, the one integer rule
+(:func:`_require_int`), the one order rule (:func:`_require_order`, and
+:func:`_require_square` for matrices) and :class:`_Record`, the base of the
+package's immutable value classes."""
 
 from operator import attrgetter
 
@@ -38,8 +39,17 @@ class InvalidPermutationError(ValueError):
     """Sequence is not a permutation of 1..n in one-line notation."""
 
 
+def _require_int(name: str, value: object) -> None:
+    """Raise TypeError("<name> must be an int, got <repr>") unless value is
+    exactly an int: a bool, a float or an int subclass is refused."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 def _require_order(n: int, what: str = "order n") -> None:
-    """Raise ValueError("<what> must be positive") when n < 1."""
+    """Refuse n unless it is an int (TypeError) of at least 1 (ValueError
+    "<what> must be positive")."""
+    _require_int(what, n)
     if n < 1:
         raise ValueError(f"{what} must be positive")
 

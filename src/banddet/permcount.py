@@ -17,7 +17,8 @@ from math import comb, factorial, prod
 from operator import mul, or_
 
 from .band import _FAMILY_NAMES, BandSpec, _band_run, band_rows, g_closed, materialize
-from .errors import InvalidPermutationError, ParityError, _Record, _require_order, _require_square
+from .errors import InvalidPermutationError, ParityError, _Record
+from .errors import _require_int, _require_order, _require_square
 from .oracle import DenseMatrix, _exact_div, check_size, det_bareiss, permanent_ryser
 from .rings import Poly
 
@@ -71,18 +72,20 @@ class ParityCount(_Record):
     __slots__ = ("even", "odd", "permanent", "determinant")
 
     def __init__(self, even: int, odd: int, permanent: int, determinant: int) -> None:
+        if not type(even) is type(odd) is type(permanent) is type(determinant) is int:
+            for name, v in zip(self._fields, (even, odd, permanent, determinant)):
+                _require_int(name, v)
         if even < 0 or odd < 0:
             raise ParityError(f"negative count: even={even} odd={odd}")
         if even + odd != permanent:
             raise ParityError(f"even + odd != per ({even}+{odd} != {permanent})")
         if even - odd != determinant:
             raise ParityError(f"even - odd != det ({even}-{odd} != {determinant})")
-        # one by one, as in BandSpec: every census row builds one
-        set_even, set_odd, set_permanent, set_determinant = self._setters
-        set_even(self, even)
-        set_odd(self, odd)
-        set_permanent(self, permanent)
-        set_determinant(self, determinant)
+        # one by one, through module globals: every census row builds one
+        _set_even(self, even)
+        _set_odd(self, odd)
+        _set_permanent(self, permanent)
+        _set_determinant(self, determinant)
 
     @classmethod
     def split(cls, per: int, det: int) -> "ParityCount":
@@ -90,6 +93,9 @@ class ParityCount(_Record):
         per + det floors to a pair whose sum is not per, which __init__
         raises as ParityError instead of rounding."""
         return cls((per + det) // 2, (per - det) // 2, per, det)
+
+
+_set_even, _set_odd, _set_permanent, _set_determinant = ParityCount._setters
 
 
 def perm_sign(perm) -> int:
@@ -246,12 +252,14 @@ _MENAGE_B_ZEROS = (2, 2)
 def menage_a_matrix(n: int) -> CharMatrix:
     """Characteristic matrix of the seatings with pi(i) != i, i+1 and
     pi(n) != n: zeros on the main and first upper diagonals."""
+    _require_order(n)
     return CharMatrix(band_rows(n, *_MENAGE_A_ZEROS, 0, 1))
 
 
 def menage_b_matrix(n: int) -> CharMatrix:
     """Characteristic matrix of the seatings with |pi(i) - i| > 1: the
     zero tridiagonal."""
+    _require_order(n)
     return CharMatrix(band_rows(n, *_MENAGE_B_ZEROS, 0, 1))
 
 
@@ -388,6 +396,8 @@ def weak_excedance_count(perm) -> int:
 def weak_excedance_class(n: int, count: int) -> list[tuple[int, ...]]:
     """All order-n permutations with exactly `count` weak excedances, in
     lexicographic one-line order."""
+    _require_order(n)
+    _require_int("count", count)
     check_size("CENSUS_ENUM", n, "weak_excedance_class")
     out = []
     for perm in permutations(range(1, n + 1)):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from itertools import zip_longest
 
-from .errors import MixedRingError, _Record
+from .errors import MixedRingError, _Record, _require_int
 
 __all__ = [
     "RingElement",
@@ -31,6 +31,13 @@ def _require_same_ring(x: "RingElement", y: object, op: str) -> None:
         raise MixedRingError(
             f"cannot {op} {type(x).__name__} and {type(y).__name__}"
         )
+
+
+def _require_exponent(e: object) -> None:
+    """The one exponent rule: an int (TypeError otherwise), at least 0."""
+    _require_int("exponent", e)
+    if e < 0:
+        raise ValueError("exponent must be non-negative")
 
 
 def _binomial_coeffs(c0: int, c1: int, e: int) -> list[int]:
@@ -138,8 +145,7 @@ class RingElement(_Record):
         """Exact power; x**0 is the ring one.  A two-term polynomial
         c0 + c1*b is expanded by the binomial theorem in O(exponent) scalar
         products; every other base is raised by repeated squaring."""
-        if exponent < 0:
-            raise ValueError("exponent must be non-negative")
+        _require_exponent(exponent)
         if isinstance(self, Poly) and len(self.coeffs) == 2:
             return _poly(tuple(_binomial_coeffs(*self.coeffs, exponent)))
         result = self.ring_one()
@@ -192,8 +198,10 @@ class Integer(RingElement):
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Integer":
-        if exponent < 0:
-            raise ValueError("exponent must be non-negative")
+        # the rule's test inline, so that a valid exponent costs no call:
+        # Integer powers sit on the closed forms' hot path
+        if type(exponent) is not int or exponent < 0:
+            _require_exponent(exponent)
         return Integer(self.value**exponent)
 
     def __str__(self) -> str:
@@ -234,6 +242,7 @@ class Poly(RingElement):
 
     def coeff(self, k: int) -> int:
         """Coefficient of the k-th power; 0 when k exceeds the degree."""
+        _require_int("power", k)
         if k < 0:
             raise ValueError("power must be non-negative")
         return self.coeffs[k] if k < len(self.coeffs) else 0

@@ -1,6 +1,7 @@
 """Bad input is refused before any work, with one message per rule: the
-order rule at every entry point that takes an order, the integer fields of
-a band spec, the one rule for integer values and the one for integer text
+order rule at every entry point that takes an order, the integer rule for
+every integer parameter (orders, band widths, positions, counts and
+exponents), the one rule for integer values and the one for integer text
 (JSON, the size-guard overrides, the CLI), and the refusals the other
 suites never reach."""
 
@@ -22,41 +23,63 @@ from banddet import (
     bordered_matrix,
     brute_force_excedance_census,
     det_case1,
+    det_case2,
     det_recurrence,
     element_from_json,
     element_to_json,
+    entry,
+    excedance_census,
     f_closed,
     family_table,
     g_closed,
     menage_a_det,
+    menage_a_matrix,
     menage_a_permanent_rec,
     menage_a_permanent_sum,
     menage_b_det,
+    menage_b_matrix,
     spec_from_json,
     spec_to_json,
+    weak_excedance_class,
 )
 from banddet.cli import main
 
-ORDER_ZERO = {
-    "BandSpec": lambda: BandSpec(0, 1, 1, 1, 0),
-    "f_closed": lambda: f_closed(0, 1, 0),
-    "g_closed": lambda: g_closed(0, 1, 0),
-    "bordered_matrix": lambda: bordered_matrix(0, 1, 1, 0),
-    "DenseMatrix": lambda: DenseMatrix(()),
-    "CharMatrix": lambda: CharMatrix(()),
-    "menage_a_permanent_rec": lambda: menage_a_permanent_rec(0),
-    "menage_a_permanent_sum": lambda: menage_a_permanent_sum(0),
-    "menage_a_det": lambda: menage_a_det(0),
-    "menage_b_det": lambda: menage_b_det(0),
-    "ExcedanceCensus": lambda: ExcedanceCensus(0, ()),
-    "brute_force_excedance_census": lambda: brute_force_excedance_census(0),
+# every entry point that takes an order, called at order n
+BY_ORDER = {
+    "BandSpec": lambda n: BandSpec(n, 1, 1, 1, 0),
+    "f_closed": lambda n: f_closed(n, 1, 0),
+    "g_closed": lambda n: g_closed(n, 1, 0),
+    "bordered_matrix": lambda n: bordered_matrix(n, 1, 1, 0),
+    "DenseMatrix": lambda n: DenseMatrix(((1,) * n,) * n),
+    "CharMatrix": lambda n: CharMatrix(((1,) * n,) * n),
+    "menage_a_matrix": menage_a_matrix,
+    "menage_b_matrix": menage_b_matrix,
+    "menage_a_permanent_rec": menage_a_permanent_rec,
+    "menage_a_permanent_sum": menage_a_permanent_sum,
+    "menage_a_det": menage_a_det,
+    "menage_b_det": menage_b_det,
+    "ExcedanceCensus": lambda n: ExcedanceCensus(n, ()),
+    "excedance_census": excedance_census,
+    "brute_force_excedance_census": brute_force_excedance_census,
+    "weak_excedance_class": lambda n: weak_excedance_class(n, 0),
 }
+# a matrix's order is its row count, which is always an int
+TYPED_ORDER = [name for name in BY_ORDER if name not in ("DenseMatrix", "CharMatrix")]
 
 
-@pytest.mark.parametrize("call", ORDER_ZERO.values(), ids=ORDER_ZERO.keys())
+@pytest.mark.parametrize("call", BY_ORDER.values(), ids=BY_ORDER.keys())
 def test_order_zero_is_refused_with_one_message(call):
     with pytest.raises(ValueError, match=r"^order n must be positive$"):
-        call()
+        call(0)
+
+
+@pytest.mark.parametrize("order", [4.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("name", TYPED_ORDER)
+def test_non_int_order_is_refused_with_one_message(name, order):
+    # BandSpec names its field, as it does for k and l
+    what = "n" if name == "BandSpec" else "order n"
+    with pytest.raises(TypeError, match=f"^{re.escape(f'{what} must be an int, got {order!r}')}$"):
+        BY_ORDER[name](order)
 
 
 @pytest.mark.parametrize(
@@ -91,6 +114,21 @@ def test_order_zero_is_refused_with_one_message(call):
             "not a canonical decimal integer: '0.5'",
         ),
         (lambda: element_from_json([True]), ValueError, "not a canonical decimal integer: True"),
+        (lambda: family_table("menage-a", True), TypeError, "n_max must be an int, got True"),
+        (lambda: det_case1(5, 2.5, 1, 0), TypeError, "k must be an int, got 2.5"),
+        (lambda: det_case2(5, 2.0, 2, 1, 0), TypeError, "k must be an int, got 2.0"),
+        (lambda: det_recurrence(6, 2.0, 1, 2), TypeError, "k must be an int, got 2.0"),
+        (lambda: bordered_matrix(3, True, 1, 2), TypeError, "k must be an int, got True"),
+        (lambda: entry(BandSpec(3, 1, 1, 1, 0), 1.5, 1), TypeError, "i must be an int, got 1.5"),
+        (lambda: Poly((1, 2)).coeff(True), TypeError, "power must be an int, got True"),
+        (lambda: weak_excedance_class(3, 1.5), TypeError, "count must be an int, got 1.5"),
+        (lambda: ParityCount(0.5, 0.5, 1, 0), TypeError, "even must be an int, got 0.5"),
+        (lambda: ParityCount(True, False, 1, 1), TypeError, "even must be an int, got True"),
+        (lambda: Integer(4) ** 0.5, TypeError, "exponent must be an int, got 0.5"),
+        (lambda: Integer(4) ** True, TypeError, "exponent must be an int, got True"),
+        (lambda: Poly((1, 2)) ** 2.0, TypeError, "exponent must be an int, got 2.0"),
+        (lambda: Integer(4) ** -1, ValueError, "exponent must be non-negative"),
+        (lambda: Poly((1, 2)) ** -1, ValueError, "exponent must be non-negative"),
     ],
     ids=[
         "family_table", "det_case1", "bordered_matrix-width", "det_recurrence-width",
@@ -98,7 +136,11 @@ def test_order_zero_is_refused_with_one_message(call):
         "element_to_json-int", "element_from_json-int", "Integer-bool", "BandSpec-bool-entries",
         "DenseMatrix-bool", "DenseMatrix-float", "CharMatrix-bool", "CharMatrix-float",
         "Poly-float", "Poly-bool", "Poly.constant-float", "element_from_json-poly-float",
-        "element_from_json-poly-bool",
+        "element_from_json-poly-bool", "family_table-bool", "det_case1-float-width",
+        "det_case2-float-width", "det_recurrence-float-width", "bordered_matrix-bool-width",
+        "entry-float-position", "Poly.coeff-bool", "weak_excedance_class-float-count",
+        "ParityCount-float", "ParityCount-bool", "Integer-pow-float", "Integer-pow-bool",
+        "Poly-pow-float", "Integer-pow-negative", "Poly-pow-negative",
     ],
 )
 def test_refusal(call, exc, message):
