@@ -108,6 +108,9 @@ def band_rows(n: int, k: int, l: int, inside, outside) -> tuple[tuple, ...]:
     """Rows of the order-n matrix with `inside` in the band window of
     widths (k, l) and `outside` elsewhere; k and l may exceed n.  Every
     band matrix in the package is built from these rows."""
+    if not type(n) is type(k) is type(l) is int:
+        for name, v in zip("nkl", (n, k, l)):
+            _require_int(name, v)
     rows = []
     for i in range(n):
         lo, hi = _band_run(n, k, l, i)

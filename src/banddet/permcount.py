@@ -11,7 +11,7 @@ enumeration for cross-checking.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, deque
 from itertools import accumulate, permutations
 from math import comb, factorial, prod
 from operator import mul, or_
@@ -148,36 +148,26 @@ def _later_reach(board: list[int]) -> list[int]:
     return reach[::-1]
 
 
-def _rook_numbers(board: list[int], max_width: int | None = None) -> list[int] | None:
-    """Rook numbers r_0..r_n of an order-n board: r_j ways to place j
-    non-attacking rooks on its ones.
+def _ferrers_rows(lengths: list[int]):
+    """The rook numbers r_0..r_i of the Ferrers board whose rows have the
+    given lengths, in increasing order, after each row i: the recurrence
+    of Goldman, Joichi and White, r'_j = r_j + (h - j + 1) r_{j-1} for a
+    new row of length h, since the j - 1 rooks already placed sit in
+    columns of the new row."""
+    r = [1]
+    for h in lengths:
+        r = [1] + [x + (h - j) * y for j, (x, y) in enumerate(zip(r[1:] + [0], r))]
+        yield r
 
-    Nested rows (a Ferrers board) take the count recurrence of Goldman,
-    Joichi and White, r'_j = r_j + (h - j + 1) r_{j-1}, adding rows by
-    increasing length h: the j - 1 rooks already placed sit in columns of
-    the new row.  Any other board runs a profile DP row by row; the state
-    is the set of used columns that a later row can still reach, so a
-    profile width f (a band of width w has f <= w) keeps at most 2^f
-    states.  Each state carries its counts by j packed into one int, r_j
-    in bits [jB, (j+1)B): B bits hold any r_j, since the product of
-    (1 + row length) over rows bounds their sum.  None, without a DP, when
-    the profile width exceeds max_width."""
-    n = len(board)
-    if _is_ferrers(board):
-        r = [1] + [0] * n
-        for i, h in enumerate(sorted(map(int.bit_count, board))):
-            # r_j for j = 1..i+1 from the old r_j and r_{j-1}
-            r[1 : i + 2] = [x + (h - j) * y for j, (x, y) in enumerate(zip(r[1 : i + 2], r))]
-        return r
-    reach = _later_reach(board)
-    if max_width is not None:
-        # the columns that earlier rows reach and later rows still can
-        live = (seen & later for seen, later in zip(accumulate(board, or_), reach))
-        if max(map(int.bit_count, live)) > max_width:
-            return None
-    slot = prod(1 + mask.bit_count() for mask in board).bit_length()
+
+def _profile_rows(board: list[int], slot: int):
+    """The profile DP over a board, row by row: after each row, the count
+    of each state.  The state is the set of used columns that a later row
+    can still reach, so a profile width f (a band of width w has f <= w)
+    keeps at most 2^f states.  A state's counts by rook number j are
+    packed into one int, r_j in bits [j*slot, (j+1)*slot)."""
     states = {0: 1}
-    for mask, later in zip(board, reach):
+    for mask, later in zip(board, _later_reach(board)):
         step = defaultdict(int)
         for used, packed in states.items():
             step[used & later] += packed
@@ -187,9 +177,61 @@ def _rook_numbers(board: list[int], max_width: int | None = None) -> list[int] |
                 step[(used | low) & later] += packed << slot
                 free ^= low
         states = step
-    # no row is later than the last, so every profile has collapsed to 0
-    packed, low_bits = states[0], (1 << slot) - 1
+        yield states
+
+
+def _slot(board: list[int]) -> int:
+    """Bits that hold any rook number of the board or of a part of its
+    rows: the product of (1 + row length) over rows bounds their sum."""
+    return prod(1 + mask.bit_count() for mask in board).bit_length()
+
+
+def _unpack(packed: int, slot: int, n: int) -> list[int]:
+    """r_0..r_n from the packed counts of _profile_rows."""
+    low_bits = (1 << slot) - 1
     return [(packed >> (j * slot)) & low_bits for j in range(n + 1)]
+
+
+def _rook_numbers(board: list[int], max_width: int | None = None) -> list[int] | None:
+    """Rook numbers r_0..r_n of an order-n board: r_j ways to place j
+    non-attacking rooks on its ones.
+
+    Nested rows (a Ferrers board) take the Goldman-Joichi-White
+    recurrence, adding rows by increasing length; any other board runs the
+    profile DP.  None, without a DP, when the profile width exceeds
+    max_width."""
+    n = len(board)
+    if _is_ferrers(board):
+        return deque(_ferrers_rows(sorted(map(int.bit_count, board))), maxlen=1).pop()
+    if max_width is not None:
+        # the columns that earlier rows reach and later rows still can
+        live = (seen & later for seen, later in zip(accumulate(board, or_), _later_reach(board)))
+        if max(map(int.bit_count, live)) > max_width:
+            return None
+    slot = _slot(board)
+    states = deque(_profile_rows(board, slot), maxlen=1).pop()
+    # no row is later than the last, so every profile has collapsed to 0
+    return _unpack(states[0], slot, n)
+
+
+def _corner_rook_numbers(n_max: int, k: int, l: int):
+    """The rook numbers of _band_board(n, k, l) for n = 1..n_max, each
+    read off one pass over the order-n_max board: the window rule does not
+    depend on the order, so the order-n board is its leading n x n corner.
+
+    The staircase (l = 1, k >= n_max) adds one row of length n per order,
+    so each Goldman-Joichi-White step gives the next order.  (Any other
+    Ferrers band board's shortest rows are not a corner.)  Any other band
+    runs the profile DP: column c is in row c's window, so after row n - 1
+    the states still hold every used column >= n, and the corner's counts
+    are those of the states with none."""
+    board = _band_board(n_max, k, l)
+    if l == 1 and k >= n_max:
+        yield from _ferrers_rows(sorted(map(int.bit_count, board)))
+        return
+    slot = _slot(board)
+    for n, states in enumerate(_profile_rows(board, slot), start=1):
+        yield _unpack(sum(p for used, p in states.items() if not used >> n), slot, n)
 
 
 def _hits(r: list[int], top: int) -> list[int]:
@@ -419,15 +461,9 @@ _FAMILIES = dict(zip(_FAMILY_NAMES, (
 ), strict=True))
 
 
-def _family_row(family: str, n: int) -> tuple[int, int, int, int, int]:
-    window, h, det, _ = _FAMILIES[family]
-    per = _hits(_rook_numbers(_band_board(n, *window(n))), h)[h]
-    pc = ParityCount.split(per, det(n))
-    return (n, pc.permanent, pc.determinant, pc.even, pc.odd)
-
-
 def family_table(family: str, n_max: int) -> list[tuple[int, int, int, int, int]]:
-    """Census rows for n = 1..n_max.
+    """Census rows for n = 1..n_max, every row's permanent read off one
+    pass over the order-n_max board (see _corner_rook_numbers).
 
     menage-a, menage-b: (n, per, det, even, odd) with the permanent from
     the hit numbers of the zero band and the determinant from the family
@@ -437,5 +473,9 @@ def family_table(family: str, n_max: int) -> list[tuple[int, int, int, int, int]
     _require_order(n_max, "n_max")
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    # largest order first, so the TRANSFER guard refuses before any work
-    return [_family_row(family, n) for n in range(n_max, 0, -1)][::-1]
+    window, h, det, _ = _FAMILIES[family]
+    rows = []
+    for n, r in enumerate(_corner_rook_numbers(n_max, *window(n_max)), start=1):
+        pc = ParityCount.split(_hits(r, h)[h], det(n))
+        rows.append((n, pc.permanent, pc.determinant, pc.even, pc.odd))
+    return rows

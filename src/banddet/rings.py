@@ -4,7 +4,8 @@ variable.
 
 Elements are immutable and support +, -, * and ** between elements of the
 same ring; ``x * s`` and ``s * x`` with a plain Python int are the s-fold
-sum (scalar multiple).  Mixing the two rings in one operation raises
+sum (scalar multiple), and any other scalar (a bool or a float) raises
+TypeError.  Mixing the two rings in one operation raises
 :class:`MixedRingError`.  Formula code is written against the shared
 element interface so further rings could be added without touching it.
 """
@@ -31,6 +32,15 @@ def _require_same_ring(x: "RingElement", y: object, op: str) -> None:
         raise MixedRingError(
             f"cannot {op} {type(x).__name__} and {type(y).__name__}"
         )
+
+
+def _refuse_factor(x: "RingElement", y: object) -> None:
+    """Raise for a factor y of x that is neither an element of x's ring nor
+    a scalar: a non-element fails the integer rule, another ring's element
+    raises MixedRingError."""
+    if not isinstance(y, RingElement):
+        _require_int("scalar", y)
+    _require_same_ring(x, y, "multiply")
 
 
 def _require_exponent(e: object) -> None:
@@ -190,9 +200,10 @@ class Integer(RingElement):
         return Integer(-self.value)
 
     def __mul__(self, other: "Integer | int") -> "Integer":
-        if isinstance(other, int):
-            return Integer(self.value * other)
-        _require_same_ring(self, other, "multiply")
+        if type(other) is not Integer:
+            if type(other) is int:
+                return Integer(self.value * other)
+            _refuse_factor(self, other)
         return Integer(self.value * other.value)
 
     __rmul__ = __mul__
@@ -273,9 +284,10 @@ class Poly(RingElement):
         return _poly(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other: "Poly | int") -> "Poly":
-        if isinstance(other, int):
-            return _poly(tuple(c * other for c in self.coeffs))
-        _require_same_ring(self, other, "multiply")
+        if type(other) is not Poly:
+            if type(other) is int:
+                return _poly(tuple(c * other for c in self.coeffs))
+            _refuse_factor(self, other)
         if not self.coeffs or not other.coeffs:
             return _poly(())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)

@@ -372,21 +372,47 @@ class TestFamilyTables:
 
     @pytest.mark.parametrize("family, n_max", [("menage-a", 25), ("excedance-k2", 8)])
     def test_guard_refuses_before_any_permanent(self, monkeypatch, family, n_max):
-        # a low limit keeps the refused tables small; no board reaches the core
+        # a low limit keeps the refused tables small; no board reaches either core
         monkeypatch.setenv("BANDDET_LIMIT_TRANSFER", "6")
-        orders = []
-        real = permcount._rook_numbers
+        passes = []
+        for core in ("_profile_rows", "_ferrers_rows"):
+            real = getattr(permcount, core)
 
-        def counted(board):
-            orders.append(len(board))
-            return real(board)
+            def counted(rows, *args, real=real):
+                passes.append(len(rows))
+                return real(rows, *args)
 
-        monkeypatch.setattr(permcount, "_rook_numbers", counted)
+            monkeypatch.setattr(permcount, core, counted)
         with pytest.raises(SizeLimitError, match="BANDDET_LIMIT_TRANSFER"):
             family_table(family, n_max)
-        assert orders == []
+        assert passes == []
+        # every order from one pass over the order-6 board, not one run per order
         family_table(family, 6)
-        assert sorted(orders) == list(range(1, 7))
+        assert passes == [6]
+
+
+class TestCornerSweep:
+    def test_corners_match_each_order_alone(self):
+        # every band window, the staircase (k = N, l = 1) included
+        for N in range(1, 10):
+            for k in range(1, N + 1):
+                for l in range(1, k + 1):
+                    corners = list(permcount._corner_rook_numbers(N, k, l))
+                    alone = [
+                        permcount._rook_numbers(permcount._band_board(n, min(k, n), min(l, n)))
+                        for n in range(1, N + 1)
+                    ]
+                    assert corners == alone, (N, k, l)
+
+    @pytest.mark.parametrize("n_max", [2, 12])
+    @pytest.mark.parametrize("family, matrix", [("menage-a", menage_a_matrix), ("menage-b", menage_b_matrix)])
+    def test_seating_tables_match_ryser(self, family, matrix, n_max):
+        # at n_max = 2 the menage-b board is a Ferrers board whose shortest row is no corner
+        rows = family_table(family, n_max)
+        assert [row[0] for row in rows] == list(range(1, n_max + 1))
+        for n, per, det, even, odd in rows:
+            dense = matrix(n).to_dense()
+            assert (per, det) == (permanent_ryser(dense).value, det_bareiss(dense).value), n
 
 
 def _per_from_hits(e, a, b):

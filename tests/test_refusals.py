@@ -20,6 +20,7 @@ from banddet import (
     ParityCount,
     ParityError,
     Poly,
+    band_rows,
     bordered_matrix,
     brute_force_excedance_census,
     det_case1,
@@ -129,6 +130,18 @@ def test_non_int_order_is_refused_with_one_message(name, order):
         (lambda: Poly((1, 2)) ** 2.0, TypeError, "exponent must be an int, got 2.0"),
         (lambda: Integer(4) ** -1, ValueError, "exponent must be non-negative"),
         (lambda: Poly((1, 2)) ** -1, ValueError, "exponent must be non-negative"),
+        (lambda: band_rows(True, 1, 1, 1, 0), TypeError, "n must be an int, got True"),
+        (lambda: band_rows(2.0, 1, 1, 1, 0), TypeError, "n must be an int, got 2.0"),
+        (lambda: band_rows(3, 1.5, 1, 1, 0), TypeError, "k must be an int, got 1.5"),
+        (lambda: band_rows(3, 2, True, 1, 0), TypeError, "l must be an int, got True"),
+        (lambda: Integer(3) * True, TypeError, "scalar must be an int, got True"),
+        (lambda: True * Integer(3), TypeError, "scalar must be an int, got True"),
+        (lambda: Integer(3) * 1.5, TypeError, "scalar must be an int, got 1.5"),
+        (lambda: 1.5 * Integer(3), TypeError, "scalar must be an int, got 1.5"),
+        (lambda: Poly((1, 2)) * False, TypeError, "scalar must be an int, got False"),
+        (lambda: False * Poly((1, 2)), TypeError, "scalar must be an int, got False"),
+        (lambda: Poly((1, 2)) * 2.0, TypeError, "scalar must be an int, got 2.0"),
+        (lambda: 2.0 * Poly((1, 2)), TypeError, "scalar must be an int, got 2.0"),
     ],
     ids=[
         "family_table", "det_case1", "bordered_matrix-width", "det_recurrence-width",
@@ -141,6 +154,10 @@ def test_non_int_order_is_refused_with_one_message(name, order):
         "entry-float-position", "Poly.coeff-bool", "weak_excedance_class-float-count",
         "ParityCount-float", "ParityCount-bool", "Integer-pow-float", "Integer-pow-bool",
         "Poly-pow-float", "Integer-pow-negative", "Poly-pow-negative",
+        "band_rows-bool-order", "band_rows-float-order", "band_rows-float-width",
+        "band_rows-bool-width", "Integer-times-bool", "bool-times-Integer",
+        "Integer-times-float", "float-times-Integer", "Poly-times-bool", "bool-times-Poly",
+        "Poly-times-float", "float-times-Poly",
     ],
 )
 def test_refusal(call, exc, message):
