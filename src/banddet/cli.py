@@ -5,12 +5,14 @@ Verbs: det (closed-form or oracle determinant of a band spec), perm
 census (full weak-excedance census for one order), check (differential
 suites), bench (closed form vs elimination timings).
 
-Exit codes: 0 success, 1 check failure, 2 usage error, 3 size guard.
+Exit codes: 0 success, 1 check failure, 2 usage error, 3 size guard,
+141 (128 + SIGPIPE) when the reader closes stdout before the output ends.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 # census and check code, and json, load in the verbs that use them
@@ -22,6 +24,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _dumps(obj) -> str:
@@ -156,8 +159,8 @@ def _cmd_check(args) -> int:
 def _cmd_bench(args) -> int:
     import time
 
-    sizes = [_int_parse(s) for s in args.sizes.split(",") if s]
-    if not sizes or any(n < 1 for n in sizes):
+    sizes = [_int_parse(s) for s in args.sizes.split(",")]
+    if any(n < 1 for n in sizes):
         raise ValueError("sizes must be positive integers, comma-separated")
     # printed once, after every order agrees: a disagreement leaves stdout empty
     lines = ["n,closed_seconds,method,method_seconds,agree"]
@@ -237,7 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered goes to devnull, so the
+        # interpreter's last flush stays silent, and the status is a filter's
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (SizeLimitError, ValueError, MixedRingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD if isinstance(exc, SizeLimitError) else EXIT_USAGE

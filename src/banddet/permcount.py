@@ -16,11 +16,11 @@ from itertools import accumulate, permutations
 from math import comb, factorial, prod
 from operator import mul, or_
 
-from .band import _FAMILY_NAMES, BandSpec, _band_run, band_rows, g_closed, materialize
+from .band import _FAMILY_NAMES, BandSpec, _band_run, band_rows, materialize
 from .errors import InvalidPermutationError, ParityError, _Record
 from .errors import _require_int, _require_order, _require_square
 from .oracle import DenseMatrix, _exact_div, check_size, det_bareiss, permanent_ryser
-from .rings import Poly
+from .rings import Poly, _binomial_coeffs
 
 __all__ = [
     "CharMatrix",
@@ -388,15 +388,15 @@ class ExcedanceCensus(_Record):
 
 def excedance_census(n: int) -> ExcedanceCensus:
     """Census from the permanent and determinant of the weak-excedance
-    matrix: the k-th coefficients give class size and even-odd gap.  The
-    matrix is J + (x-1)B for the staircase board B, so T(n, k) is B's hit
-    number e_k, and det is the all-b-triangle form (b - 1)^(n-1) b."""
+    matrix, J + (x-1)B for the staircase board B: T(n, k) is B's hit number
+    e_k, and det the all-b-triangle form (b - 1)^(n-1) b, so c(n, k) is the
+    b^(k-1) coefficient of (b - 1)^(n-1)."""
     _require_order(n)
     hits = _hits(_rook_numbers(_band_board(n, n, 1)), n)
     if hits[0] != 0:
         raise ParityError("permutation with no weak excedance counted")
-    det = g_closed(n, Poly.constant(1), Poly.variable())
-    return ExcedanceCensus(n, tuple(map(ParityCount.split, hits[1:], det.coeffs[1:])))
+    det = _binomial_coeffs(-1, 1, n - 1)
+    return ExcedanceCensus(n, tuple(map(ParityCount.split, hits[1:], det)))
 
 
 def brute_force_excedance_census(n: int) -> ExcedanceCensus:
@@ -451,13 +451,13 @@ def weak_excedance_class(n: int, count: int) -> list[tuple[int, ...]]:
 # family -> (its band window (k, l) at order n, the hit number h its row
 # reads, its det at order n, column names), in _FAMILY_NAMES order.  A
 # seating matrix is J - Z for its zero band Z, so its class is e_0 of Z;
-# excedance-k2 is e_2 of the weak-excedance staircase.
+# excedance-k2 is e_2 of the weak-excedance staircase, and its det the b^2
+# coefficient of (b - 1)^(n-1) b, c(n, 2) = (-1)^n (n - 1).
 _SEATING = ("n", "per", "det", "even", "odd")
 _FAMILIES = dict(zip(_FAMILY_NAMES, (
     (lambda n: _MENAGE_A_ZEROS, 0, menage_a_det, _SEATING),
     (lambda n: _MENAGE_B_ZEROS, 0, menage_b_det, _SEATING),
-    (lambda n: (n, 1), 2, lambda n: g_closed(n, Poly.constant(1), Poly.variable()).coeff(2),
-     ("n", "T", "c", "even", "odd")),
+    (lambda n: (n, 1), 2, lambda n: 1 - n if n & 1 else n - 1, ("n", "T", "c", "even", "odd")),
 ), strict=True))
 
 

@@ -284,6 +284,12 @@ class TestBench:
         code, _, err = run(capsys, "bench", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("sizes", ["4,,9", "4,", ",4"])
+    def test_empty_size_field_is_a_usage_error(self, capsys, sizes):
+        code, out, err = run(capsys, "bench", sizes)
+        assert (code, out) == (2, "")
+        assert err == "error: not a canonical decimal integer: ''\n"
+
     def test_disagreement_prints_no_rows(self, capsys, monkeypatch):
         real = band.det_closed
 
@@ -475,3 +481,18 @@ def test_process_exit_codes(argv, code):
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == code, proc.stderr
+
+
+def test_closed_pipe_exits_141_silently():
+    # the census at the TRANSFER limit is about 196 KB, more than a pipe
+    # holds, so the child is still writing when the reader closes the pipe
+    env = {k: v for k, v in os.environ.items() if not k.startswith("BANDDET_LIMIT_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "banddet.cli", "census", "--n", "200"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        assert proc.stdout.readline() == b"k,T,c,even,odd\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (141, b"")

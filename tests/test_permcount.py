@@ -39,7 +39,8 @@ from banddet import (
     weak_excedance_count,
 )
 from banddet import permcount
-from banddet.band import band_rows
+from banddet.band import band_rows, g_closed
+from banddet.rings import RingElement
 
 from reference_tables import (
     EXCEDANCE_K2,
@@ -276,11 +277,27 @@ class TestExcedanceCensus:
                 assert sum(census.det_coeffs) == 0
 
     def test_det_coefficients_are_signed_binomials(self):
-        for n in range(1, 9):
+        # and the coefficients of the paper's all-b-triangle form (b - 1)^(n-1) b
+        for n in (*range(1, 61), 200):
             census = excedance_census(n)
             for k in range(1, n + 1):
                 want = (-1) ** (n - k) * comb(n - 1, k - 1)
                 assert census.det_coeffs[k - 1] == want
+            g = g_closed(n, Poly.constant(1), Poly.variable())
+            assert census.det_coeffs == g.coeffs[1:], n
+
+    def test_census_and_table_take_no_ring_arithmetic(self, monkeypatch):
+        orders = (3, 12, 200)
+        want = [(excedance_census(n), family_table("excedance-k2", n)) for n in orders]
+
+        def refuse(*args):
+            raise AssertionError("ring arithmetic on a census path")
+
+        monkeypatch.setattr(Poly, "__mul__", refuse)
+        monkeypatch.setattr(Poly, "__add__", refuse)
+        monkeypatch.setattr(RingElement, "__pow__", refuse)
+        got = [(excedance_census(n), family_table("excedance-k2", n)) for n in orders]
+        assert got == want
 
     @staticmethod
     def _census(n, per, det, even, odd):
