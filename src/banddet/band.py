@@ -52,26 +52,19 @@ class BandSpec(_Record):
     __slots__ = ("n", "k", "l", "a", "b")
 
     def __init__(self, n: int, k: int, l: int, a, b) -> None:
-        if not type(n) is type(k) is type(l) is int:
-            for name, v in zip("nkl", (n, k, l)):
-                _require_int(name, v)
+        for name, v in zip("nkl", (n, k, l)):
+            _require_int(name, v)
         a, b = as_element(a), as_element(b)
+        if not (1 <= k <= n and 1 <= l <= n):
+            _require_order(n)  # n < 1 fails with the order rule's message
+            raise ValueError(f"need 1 <= k, l <= n, got n={n} k={k} l={l}")
         if l > k:
             k, l = l, k
-        if not 1 <= l <= k <= n:
-            _require_order(n)  # n < 1 fails with the order rule's message
-            raise ValueError(f"need 1 <= l <= k <= n, got n={n} k={k} l={l}")
         if type(a) is not type(b):
             raise MixedRingError("a and b must come from the same ring")
         if a == b:
             raise ValueError("a and b must differ")
-        # one by one: _Record's loop over the fields is a large share of the construction
-        set_n, set_k, set_l, set_a, set_b = self._setters
-        set_n(self, n)
-        set_k(self, k)
-        set_l(self, l)
-        set_a(self, a)
-        set_b(self, b)
+        super().__init__(n, k, l, a, b)
 
 
 class BandResidue(_Record):
@@ -107,10 +100,12 @@ def entry(spec: BandSpec, i: int, j: int) -> RingElement:
 def band_rows(n: int, k: int, l: int, inside, outside) -> tuple[tuple, ...]:
     """Rows of the order-n matrix with `inside` in the band window of
     widths (k, l) and `outside` elsewhere; k and l may exceed n.  Every
-    band matrix in the package is built from these rows."""
-    if not type(n) is type(k) is type(l) is int:
-        for name, v in zip("nkl", (n, k, l)):
-            _require_int(name, v)
+    band matrix in the package is built from these rows.  The order may be
+    0 (no rows); a negative order or a width below 1 raises ValueError."""
+    for name, v in zip("nkl", (n, k, l)):
+        _require_int(name, v)
+    if n < 0 or k < 1 or l < 1:
+        raise ValueError(f"need n >= 0 and k, l >= 1, got n={n} k={k} l={l}")
     rows = []
     for i in range(n):
         lo, hi = _band_run(n, k, l, i)

@@ -59,9 +59,6 @@ class CharMatrix(_Record):
 
     n = property(lambda self: len(self.bits))
 
-    def __getitem__(self, i: int) -> tuple[int, ...]:
-        return self.bits[i]
-
     def to_dense(self) -> DenseMatrix:
         return DenseMatrix(self.bits)
 
@@ -417,6 +414,8 @@ def brute_force_excedance_census(n: int) -> ExcedanceCensus:
 
 def _validate_one_line(perm) -> tuple[int, ...]:
     p = tuple(perm)
+    for v in p:
+        _require_int("permutation entry", v)
     if sorted(p) != list(range(1, len(p) + 1)):
         raise InvalidPermutationError(
             f"not a permutation of 1..{len(p)} in one-line notation: {perm!r}"

@@ -6,8 +6,8 @@ Elements are immutable and support +, -, * and ** between elements of the
 same ring; ``x * s`` and ``s * x`` with a plain Python int are the s-fold
 sum (scalar multiple), and any other scalar (a bool or a float) raises
 TypeError.  Mixing the two rings in one operation raises
-:class:`MixedRingError`.  Formula code is written against the shared
-element interface so further rings could be added without touching it.
+:class:`MixedRingError`.  Formula code is written against the element
+interface the two rings share, so it runs unchanged in either.
 """
 
 from __future__ import annotations
@@ -90,8 +90,6 @@ def _int_str(x: int) -> str:
         if result is None:
             if w <= _PLAIN_STR_BITS:
                 result = D(2) ** w
-            elif w - 1 in pow2:
-                result = pow2[w - 1] * 2
             else:
                 half = w >> 1
                 result = two_to(half) * two_to(w - half)
@@ -138,18 +136,10 @@ def _int_parse(s: object) -> int:
 
 
 class RingElement(_Record):
-    """An immutable element of a supported commutative ring with unit."""
+    """An immutable element of a commutative ring with unit; each ring
+    defines ring_zero(), ring_one() and is_zero() beside the operators."""
 
     __slots__ = ()
-
-    def ring_zero(self) -> "RingElement":
-        raise NotImplementedError
-
-    def ring_one(self) -> "RingElement":
-        raise NotImplementedError
-
-    def is_zero(self) -> bool:
-        raise NotImplementedError
 
     def __pow__(self, exponent: int) -> "RingElement":
         """Exact power; x**0 is the ring one.  A two-term polynomial
@@ -209,10 +199,7 @@ class Integer(RingElement):
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Integer":
-        # the rule's test inline, so that a valid exponent costs no call:
-        # Integer powers sit on the closed forms' hot path
-        if type(exponent) is not int or exponent < 0:
-            _require_exponent(exponent)
+        _require_exponent(exponent)
         return Integer(self.value**exponent)
 
     def __str__(self) -> str:

@@ -42,6 +42,7 @@ from banddet import (
     spec_from_json,
     spec_to_json,
     weak_excedance_class,
+    weak_excedance_count,
 )
 from banddet.cli import main
 
@@ -262,3 +263,39 @@ def test_bench_laplace_success(capsys):
         ["4", "laplace", "true"],
         ["9", "laplace", "true"],
     ]
+
+
+@pytest.mark.parametrize("n, k, l", [(3, 0, 0), (3, -2, 1), (3, 1, 0), (-2, 1, 1)])
+def test_band_rows_refuses_a_width_below_one_or_a_negative_order(n, k, l):
+    # unrefused, each of these would build rows that are not square, or no rows
+    with pytest.raises(ValueError, match=f"^need n >= 0 and k, l >= 1, got n={n} k={k} l={l}$"):
+        band_rows(n, k, l, 1, 0)
+
+
+# the range is tested before l > k is swapped, so the message shows the
+# widths as they were passed
+WIDTHS_OUT_OF_RANGE = [(0, 1), (1, 0), (1, 5), (5, 1), (0, 0)]
+
+
+@pytest.mark.parametrize("k, l", WIDTHS_OUT_OF_RANGE)
+def test_band_spec_range_error_names_the_widths_as_passed(k, l):
+    with pytest.raises(ValueError, match=f"^need 1 <= k, l <= n, got n=3 k={k} l={l}$"):
+        BandSpec(3, k, l, 0, 1)
+
+
+@pytest.mark.parametrize("k, l", WIDTHS_OUT_OF_RANGE)
+def test_cli_range_error_names_the_widths_as_passed(capsys, k, l):
+    code = main(["det", "--n", "3", "--k", str(k), "--l", str(l), "--a", "0", "--b", "1"])
+    assert (code, *capsys.readouterr()) == (
+        2, "", f"error: need 1 <= k, l <= n, got n=3 k={k} l={l}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "perm, bad",
+    [((True, 2), True), ((1, 2.0), 2.0), ((2.0, 1), 2.0), ((1, "a"), "a"), ((1, 2, False), False)],
+)
+def test_permutation_entries_follow_the_integer_rule(perm, bad):
+    message = f"permutation entry must be an int, got {bad!r}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        weak_excedance_count(perm)
