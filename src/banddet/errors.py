@@ -36,7 +36,8 @@ class ParityError(ArithmeticError):
 
 
 class InvalidPermutationError(ValueError):
-    """Sequence is not a permutation of 1..n in one-line notation."""
+    """Sequence is not a permutation of 1..n (0..n-1 for perm_sign) in
+    one-line notation."""
 
 
 def _require_int(name: str, value: object) -> None:

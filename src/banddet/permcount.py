@@ -5,13 +5,15 @@ incidence matrix is dominated entrywise by A.  The class has per(A)
 members, and the even/odd split is (per + det)/2 and (per - det)/2.
 This module builds the named families (two rectangular-table seating
 variants and the weak-excedance matrix), computes their censuses through
-the permanent/determinant route, and re-derives everything by direct
+the permanent/determinant route, both halves read off transfer DPs over
+the zeros of A when they are narrow, and re-derives everything by direct
 enumeration for cross-checking.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
+from functools import reduce
 from itertools import accumulate, permutations
 from math import comb, factorial, prod
 from operator import mul, or_
@@ -96,7 +98,14 @@ _set_even, _set_odd, _set_permanent, _set_determinant = ParityCount._setters
 
 
 def perm_sign(perm) -> int:
-    """Sign of a 0-based permutation: (-1)^(n - number of cycles)."""
+    """Sign of a 0-based permutation: (-1)^(n - number of cycles).  Each
+    entry goes through the integer rule, and a sequence that is not a
+    permutation of 0..n-1 raises InvalidPermutationError."""
+    return _perm_sign(_permutation(perm, 0))
+
+
+def _perm_sign(perm) -> int:
+    """perm_sign of a sequence known to be a permutation of 0..n-1."""
     n = len(perm)
     seen = bytearray(n)
     cycles = 0
@@ -112,9 +121,10 @@ def perm_sign(perm) -> int:
 
 
 # A board is a 0/1 matrix kept as one bit mask per row: bit j of row i is
-# set when (i, j) holds a one.  Rook numbers and permanents read boards.  An
-# order-n board holds n masks of up to n bits, so both builders check the
-# TRANSFER guard before they build one.
+# set when (i, j) holds a one.  Rook numbers, permanents and the signed
+# minors of parity_counts read boards.  An order-n board holds n masks of
+# up to n bits, so both builders check the TRANSFER guard before they
+# build one.
 
 
 def _board(bits) -> list[int]:
@@ -189,22 +199,23 @@ def _unpack(packed: int, slot: int, n: int) -> list[int]:
     return [(packed >> (j * slot)) & low_bits for j in range(n + 1)]
 
 
-def _rook_numbers(board: list[int], max_width: int | None = None) -> list[int] | None:
+def _profile_width(board: list[int]) -> int:
+    """The most columns any profile of the board holds: those that earlier
+    rows reach and later rows still can.  A band of width w has at most w."""
+    live = (seen & later for seen, later in zip(accumulate(board, or_), _later_reach(board)))
+    return max(map(int.bit_count, live), default=0)
+
+
+def _rook_numbers(board: list[int]) -> list[int]:
     """Rook numbers r_0..r_n of an order-n board: r_j ways to place j
     non-attacking rooks on its ones.
 
     Nested rows (a Ferrers board) take the Goldman-Joichi-White
     recurrence, adding rows by increasing length; any other board runs the
-    profile DP.  None, without a DP, when the profile width exceeds
-    max_width."""
+    profile DP."""
     n = len(board)
     if _is_ferrers(board):
         return deque(_ferrers_rows(sorted(map(int.bit_count, board))), maxlen=1).pop()
-    if max_width is not None:
-        # the columns that earlier rows reach and later rows still can
-        live = (seen & later for seen, later in zip(accumulate(board, or_), _later_reach(board)))
-        if max(map(int.bit_count, live)) > max_width:
-            return None
     slot = _slot(board)
     states = deque(_profile_rows(board, slot), maxlen=1).pop()
     # no row is later than the last, so every profile has collapsed to 0
@@ -249,22 +260,86 @@ def _hits(r: list[int], top: int) -> list[int]:
     return e + [0] * (top - n)
 
 
-# The widest profile parity_counts gives the DP.  At the TRANSFER default of
-# 200 a width-8 band DP takes about 2 s, no more than Ryser at its own limit
-# of 20 (about 3 s; both on a 2-vCPU Xeon); width 10 takes about 9 s.
+def _columns(mask: int):
+    """The columns of a row mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _signed_minors(board: list[int]) -> tuple[int, int]:
+    """(det Z, 1^T adj(Z) 1) of the 0/1 matrix Z with the given board, by a
+    signed profile DP with no elimination (Stanley, EC1 4.7).
+
+    det Z sums sign(pi) over the placements of n rooks on Z, one a row.
+    1^T adj(Z) 1 sums the cofactors: over the placements of n - 1 rooks
+    that skip one row i0 and leave one column c0 unused, (-1)^(i0 + c0)
+    times the sign of the permutation the rooks make.  A state is a
+    profile of _profile_rows shifted left past one flag, set once a row
+    is skipped.  A rook at (i, c) inverts with every used column above c
+    and also carries (-1)^(i + c): over n rooks these factors multiply to
+    1, and over a placement that skips i0 and leaves c0 to (-1)^(i0 + c0).
+
+    A profile forgets used columns that no later row reaches, so the
+    columns are first ordered by the last row that reaches them: a
+    forgotten column then lies below every cell of a later row.  Both
+    numbers change by the sign of that order, which is the identity on a
+    band board."""
+    n = len(board)
+    later = _later_reach(board)
+    unreached = ((1 << n) - 1) & ~reduce(or_, board, 0)
+    order = [*_columns(unreached), *(c for m, a in zip(board, later) for c in _columns(m & ~a))]
+    sign = 1
+    if order != list(range(n)):
+        sign = _perm_sign(order)
+        place = [0] * n
+        for p, c in enumerate(order):
+            place[c] = p
+        board = [sum(1 << place[c] for c in _columns(mask)) for mask in board]
+        later = _later_reach(board)
+    states = {0: 1}
+    for i, (mask, after) in enumerate(zip(board, later)):
+        # each cell's bit, the mask of the columns above it and the parity of i + c
+        cells = [(1 << c, -(2 << c), (i + c) & 1) for c in _columns(mask)]
+        step = defaultdict(int)
+        for key, count in states.items():
+            used, skipped = key >> 1, key & 1
+            if not skipped:
+                step[(used & after) << 1 | 1] += count
+            for low, above, odd in cells:
+                if not used & low:
+                    flip = ((used & above).bit_count() + odd) & 1
+                    step[((used | low) & after) << 1 | skipped] += -count if flip else count
+        states = step
+    # no row is later than the last, so every profile has collapsed to 0
+    return sign * states.get(0, 0), sign * states.get(1, 0)
+
+
+# The widest profile parity_counts gives the DPs.  At the TRANSFER default of
+# 200 both DPs over a width-8 zero band take about 1.4 s, most of it the rook
+# DP, no more than Ryser at its own limit of 20 (about 3 s; both on a 2-vCPU
+# Xeon); the rook DP alone takes about 9 s at width 10.
 _PARITY_MAX_WIDTH = 8
 
 
 def parity_counts(A: CharMatrix) -> ParityCount:
-    """Census from (per +- det)/2, determinant via Bareiss.  A is J - Z for
-    its zeros Z, so the permanent comes from Z's rook numbers when Z is a
-    Ferrers board or its profile is at most _PARITY_MAX_WIDTH columns wide,
-    and from Ryser, under its own guard, otherwise."""
+    """Census from (per +- det)/2.  A is J - Z for its zeros Z.  When Z's
+    profile is at most _PARITY_MAX_WIDTH columns wide, both halves come
+    from Z by transfer DPs and no dense matrix is built: per A from Z's
+    rook numbers, and det A = (-1)^n (det Z - 1^T adj(Z) 1) from the
+    signed DP, since det(J_m) = 0 for m >= 2 leaves only the placements
+    of n or n - 1 rooks on Z.  A wider Z takes the permanent from its
+    rook numbers when it is a Ferrers board and from Ryser, under its own
+    guard, otherwise, and the determinant by Bareiss."""
     n = A.n
     zeros = [mask ^ ((1 << n) - 1) for mask in _board(A.bits)]
+    if _profile_width(zeros) <= _PARITY_MAX_WIDTH:
+        det_z, cofactors = _signed_minors(zeros)
+        det = det_z - cofactors if n % 2 == 0 else cofactors - det_z
+        return ParityCount.split(_hits(_rook_numbers(zeros), 0)[0], det)
     dense = A.to_dense()
-    r = _rook_numbers(zeros, _PARITY_MAX_WIDTH)
-    per = permanent_ryser(dense).value if r is None else _hits(r, 0)[0]
+    per = _hits(_rook_numbers(zeros), 0)[0] if _is_ferrers(zeros) else permanent_ryser(dense).value
     return ParityCount.split(per, det_bareiss(dense).value)
 
 
@@ -276,7 +351,7 @@ def brute_force_parity(A: CharMatrix) -> ParityCount:
     even = odd = 0
     for perm in permutations(range(n)):
         if all(bits[i][perm[i]] for i in range(n)):
-            if perm_sign(perm) > 0:
+            if _perm_sign(perm) > 0:
                 even += 1
             else:
                 odd += 1
@@ -405,20 +480,22 @@ def brute_force_excedance_census(n: int) -> ExcedanceCensus:
     odd = [0] * n
     for perm in permutations(range(n)):
         k = _weak_excedances(perm, 0)
-        if perm_sign(perm) > 0:
+        if _perm_sign(perm) > 0:
             even[k - 1] += 1
         else:
             odd[k - 1] += 1
     return ExcedanceCensus(n, tuple(ParityCount(e, o, e + o, e - o) for e, o in zip(even, odd)))
 
 
-def _validate_one_line(perm) -> tuple[int, ...]:
+def _permutation(perm, first: int) -> tuple[int, ...]:
+    """perm as a tuple, refused unless it is a permutation of
+    first..first+n-1: each entry by the integer rule, then as a whole."""
     p = tuple(perm)
     for v in p:
         _require_int("permutation entry", v)
-    if sorted(p) != list(range(1, len(p) + 1)):
+    if sorted(p) != list(range(first, first + len(p))):
         raise InvalidPermutationError(
-            f"not a permutation of 1..{len(p)} in one-line notation: {perm!r}"
+            f"not a permutation of {first}..{first + len(p) - 1} in one-line notation: {perm!r}"
         )
     return p
 
@@ -431,7 +508,7 @@ def _weak_excedances(perm, start: int) -> int:
 def weak_excedance_count(perm) -> int:
     """Number of positions i with pi(i) >= i; perm in 1-based one-line
     notation, e.g. (1, 4, 2, 3)."""
-    return _weak_excedances(_validate_one_line(perm), 1)
+    return _weak_excedances(_permutation(perm, 1), 1)
 
 
 def weak_excedance_class(n: int, count: int) -> list[tuple[int, ...]]:

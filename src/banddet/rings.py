@@ -160,6 +160,7 @@ class RingElement(_Record):
         return result
 
     def __sub__(self, other: "RingElement") -> "RingElement":
+        _require_same_ring(self, other, "subtract")
         return self + (-other)
 
 

@@ -1,6 +1,6 @@
 import random
 from functools import partial
-from itertools import permutations
+from itertools import permutations, product
 from math import comb, factorial
 
 import pytest
@@ -8,6 +8,7 @@ import pytest
 from banddet import (
     BandSpec,
     CharMatrix,
+    DenseMatrix,
     ExcedanceCensus,
     InexactDivisionError,
     InvalidPermutationError,
@@ -96,7 +97,7 @@ class TestPermSign:
         assert perm_sign((1, 2, 3, 0)) == -1
 
     def test_matches_inversion_count(self):
-        from itertools import permutations
+        from itertools import permutations, product
 
         for perm in permutations(range(5)):
             inv = sum(
@@ -513,25 +514,30 @@ class TestRookCore:
             assert r == [stirling2(n + 1, n + 1 - j) for j in range(n + 1)]
 
     def test_wide_board_falls_back_to_ryser(self, monkeypatch):
-        calls = []
-        real = permcount.permanent_ryser
+        calls, dets = [], []
+        real, real_det = permcount.permanent_ryser, permcount.det_bareiss
         monkeypatch.setattr(permcount, "permanent_ryser", lambda m: calls.append(m.n) or real(m))
+        monkeypatch.setattr(permcount, "det_bareiss", lambda m: dets.append(m.n) or real_det(m))
         # the checkerboard's zeros have profile width n
         A = _checkerboard(8)
         assert parity_counts(A) == brute_force_parity(A)
-        assert calls == []
+        assert calls == dets == []
         for n in (9, 12):
             # a permutation on it maps even indices to even ones and odd to odd
             assert parity_counts(_checkerboard(n)).permanent == factorial((n + 1) // 2) * factorial(n // 2)
-        assert calls == [9, 12]
+        assert calls == dets == [9, 12]
         # a zero band of widths (k, l) has profile width k + l - 2
         for k, l, ryser in [(5, 5, False), (6, 5, True)]:
             A = CharMatrix(band_rows(12, k, l, 0, 1))
             assert parity_counts(A).permanent == real(A.to_dense()).value
-            assert calls[2:] == ([12] if ryser else []), (k, l)
-        # narrow boards never reach Ryser
+            assert calls[2:] == dets[2:] == ([12] if ryser else []), (k, l)
+        # narrow boards never reach Ryser or Bareiss
         parity_counts(menage_b_matrix(17))
-        assert calls == [9, 12, 12]
+        assert calls == dets == [9, 12, 12]
+        # a wide Ferrers board (zeros on and above the diagonal) takes GJW and Bareiss
+        A = CharMatrix(band_rows(12, 12, 1, 0, 1))
+        assert parity_counts(A) == ParityCount(0, 0, 0, 0)
+        assert (calls, dets) == ([9, 12, 12], [9, 12, 12, 12])
 
     def test_wide_board_refused_at_ryser_limit(self):
         with pytest.raises(
@@ -564,6 +570,91 @@ class TestRookCore:
             parity_counts(menage_a_matrix(10))
         with pytest.raises(SizeLimitError, match="BANDDET_LIMIT_TRANSFER"):
             excedance_census(10)
+
+
+def _det_by_minors(zeros):
+    """det(J - Z) for the 0/1 rows of Z, by the signed DP over Z's board."""
+    det_z, cofactors = permcount._signed_minors(permcount._board(zeros))
+    return (-1) ** len(zeros) * (det_z - cofactors)
+
+
+def _random_boards(seed, n_max, per_order):
+    rng = random.Random(seed)
+    for n in range(1, n_max + 1):
+        for _ in range(per_order):
+            density = rng.choice((0.2, 0.4, 0.6, 0.8))
+            yield tuple(tuple(int(rng.random() < density) for _ in range(n)) for _ in range(n))
+
+
+def _with_zero_columns(boards, count):
+    """Each board of order > count with columns 1..count cleared, which the
+    signed DP moves to the front."""
+    for zeros in boards:
+        if len(zeros) > count:
+            yield tuple(tuple(0 if 1 <= j <= count else e for j, e in enumerate(row)) for row in zeros)
+
+
+def _is_monotone(zeros):
+    """Whether the last row that reaches each column rises with the column."""
+    last = [max((i for i, row in enumerate(zeros) if row[j]), default=-1) for j in range(len(zeros))]
+    return last == sorted(last)
+
+
+class TestSignedMinors:
+    def test_det_matches_bareiss(self):
+        # seeded random boards, most of them not monotone
+        random_boards = list(_random_boards(24, 8, 40))
+        boards = [
+            # every 0/1 matrix of order <= 3
+            *(
+                tuple(flat[i * n : (i + 1) * n] for i in range(n))
+                for n in range(1, 4)
+                for flat in product((0, 1), repeat=n * n)
+            ),
+            *random_boards,
+            *_with_zero_columns(random_boards, 1),
+            *_with_zero_columns(random_boards, 2),
+            # every zero band window with k, l <= 6, to order 39 where parity_counts gives it the
+            # DP (profile width k + l - 2 <= 8) and to order 19 where it does not
+            *(
+                band_rows(n, k, l, 1, 0)
+                for k in range(1, 7)
+                for l in range(1, 7)
+                for n in range(1, 40 if k + l - 2 <= permcount._PARITY_MAX_WIDTH else 20)
+            ),
+        ]
+        assert sum(not _is_monotone(zeros) for zeros in boards) > 500
+        for zeros in boards:
+            A = DenseMatrix(tuple(tuple(1 - e for e in row) for row in zeros))
+            assert _det_by_minors(zeros) == det_bareiss(A).value, zeros
+
+    def test_pair_matches_laplace(self):
+        # (det Z, 1^T adj(Z) 1) = (det Z, det(J + Z) - det Z) by the matrix determinant lemma
+        boards = [*_random_boards(9, 9, 12), *(band_rows(9, k, l, 1, 0) for k in range(1, 5) for l in range(1, 5))]
+        boards += [*_with_zero_columns(boards, 1), *_with_zero_columns(boards, 2)]
+        for zeros in boards:
+            det_z = det_laplace(DenseMatrix(zeros)).value
+            det_jz = det_laplace(DenseMatrix(tuple(tuple(1 + e for e in row) for row in zeros))).value
+            assert permcount._signed_minors(permcount._board(zeros)) == (det_z, det_jz - det_z), zeros
+
+    def test_two_zero_columns_give_no_minor(self):
+        for zeros in _with_zero_columns(_random_boards(3, 7, 5), 2):
+            assert permcount._signed_minors(permcount._board(zeros)) == (0, 0)
+
+    def test_seating_families_take_no_elimination(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("dense route taken")
+
+        for name in ("det_bareiss", "permanent_ryser"):
+            monkeypatch.setattr(permcount, name, refused)
+        monkeypatch.setattr(CharMatrix, "to_dense", refused)
+        for n in [*range(8, 18), 200]:
+            for matrix, det in ((menage_a_matrix, menage_a_det), (menage_b_matrix, menage_b_det)):
+                pc = parity_counts(matrix(n))
+                assert pc.determinant == det(n), (matrix, n)
+                if n <= 9:
+                    assert pc == brute_force_parity(matrix(n)), (matrix, n)
+            assert parity_counts(menage_a_matrix(n)).permanent == menage_a_permanent_rec(n)
 
 
 class TestLargeOrders:

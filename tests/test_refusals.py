@@ -17,6 +17,8 @@ from banddet import (
     DenseMatrix,
     ExcedanceCensus,
     Integer,
+    InvalidPermutationError,
+    MixedRingError,
     ParityCount,
     ParityError,
     Poly,
@@ -39,6 +41,7 @@ from banddet import (
     menage_a_permanent_sum,
     menage_b_det,
     menage_b_matrix,
+    perm_sign,
     spec_from_json,
     spec_to_json,
     weak_excedance_class,
@@ -143,6 +146,25 @@ def test_non_int_order_is_refused_with_one_message(name, order):
         (lambda: False * Poly((1, 2)), TypeError, "scalar must be an int, got False"),
         (lambda: Poly((1, 2)) * 2.0, TypeError, "scalar must be an int, got 2.0"),
         (lambda: 2.0 * Poly((1, 2)), TypeError, "scalar must be an int, got 2.0"),
+        (
+            lambda: perm_sign((0, 0)),
+            InvalidPermutationError,
+            "not a permutation of 0..1 in one-line notation: (0, 0)",
+        ),
+        (
+            lambda: perm_sign((0, 2, 2)),
+            InvalidPermutationError,
+            "not a permutation of 0..2 in one-line notation: (0, 2, 2)",
+        ),
+        (
+            lambda: perm_sign((1,)),
+            InvalidPermutationError,
+            "not a permutation of 0..0 in one-line notation: (1,)",
+        ),
+        (lambda: perm_sign((0.0,)), TypeError, "permutation entry must be an int, got 0.0"),
+        (lambda: perm_sign((True, 0)), TypeError, "permutation entry must be an int, got True"),
+        (lambda: Integer(3) - 2, MixedRingError, "cannot subtract Integer and int"),
+        (lambda: Poly((1, 2)) - 3, MixedRingError, "cannot subtract Poly and int"),
     ],
     ids=[
         "family_table", "det_case1", "bordered_matrix-width", "det_recurrence-width",
@@ -158,7 +180,9 @@ def test_non_int_order_is_refused_with_one_message(name, order):
         "band_rows-bool-order", "band_rows-float-order", "band_rows-float-width",
         "band_rows-bool-width", "Integer-times-bool", "bool-times-Integer",
         "Integer-times-float", "float-times-Integer", "Poly-times-bool", "bool-times-Poly",
-        "Poly-times-float", "float-times-Poly",
+        "Poly-times-float", "float-times-Poly", "perm_sign-repeat", "perm_sign-repeat-3",
+        "perm_sign-out-of-range", "perm_sign-float", "perm_sign-bool", "Integer-minus-int",
+        "Poly-minus-int",
     ],
 )
 def test_refusal(call, exc, message):

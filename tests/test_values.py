@@ -19,8 +19,8 @@ from banddet import (
     ParityCount,
     Poly,
     RingElement,
+    band_rows,
     det_closed,
-    menage_a_matrix,
     parity_counts,
 )
 from banddet.checks import CheckReport, SuiteResult
@@ -146,7 +146,8 @@ TRACED = [
     (RingElement, "__pow__", lambda: Poly((1, 1, 1)) ** 3),
     (Integer, "__pow__", lambda: Integer(3) ** 4),
     (FactoredDet, "expand", lambda: det_closed(BandSpec(9, 2, 1, 1, 3))),
-    (CharMatrix, "to_dense", lambda: parity_counts(menage_a_matrix(4))),
+    # a zero band of profile width 9, past the transfer DPs: the one route that builds a dense matrix
+    (CharMatrix, "to_dense", lambda: parity_counts(CharMatrix(band_rows(10, 6, 5, 0, 1)))),
 ]
 
 
