@@ -52,17 +52,17 @@ def _require_exponent(e: object) -> None:
 
 def _binomial_coeffs(c0: int, c1: int, e: int) -> list[int]:
     """Coefficients of (c0 + c1*x)^e, ascending: C(e,j) * c0^(e-j) * c1^j.
-    C(e,j) and the powers of c0 and c1 are carried from term to term."""
-    c0_pows = [1]
-    for _ in range(e):
-        c0_pows.append(c0_pows[-1] * c0)
-    out = []
-    binom = 1
-    c1_pow = 1
-    for j in range(e + 1):
-        out.append(binom * c0_pows[e - j] * c1_pow)
-        binom = binom * (e - j) // (j + 1)
-        c1_pow *= c1
+    Each is the one before times (e-j)*c1, divided by (j+1)*c0: the
+    division is exact, as coef_j * (e-j) * c1 = C(e,j+1) * (j+1) *
+    c0^(e-j) * c1^(j+1).  So a term costs one product and one quotient of
+    a big int by a small one."""
+    if c0 == 0:
+        return [0] * e + [c1**e]
+    coef = c0**e
+    out = [coef]
+    for j in range(e):
+        coef = coef * ((e - j) * c1) // ((j + 1) * c0)
+        out.append(coef)
     return out
 
 
@@ -143,8 +143,9 @@ class RingElement(_Record):
 
     def __pow__(self, exponent: int) -> "RingElement":
         """Exact power; x**0 is the ring one.  A two-term polynomial
-        c0 + c1*b is expanded by the binomial theorem in O(exponent) scalar
-        products; every other base is raised by repeated squaring."""
+        c0 + c1*b is expanded by the binomial theorem, each coefficient
+        from the one before by one multiplication and one exact division
+        by small ints; every other base is raised by repeated squaring."""
         _require_exponent(exponent)
         if isinstance(self, Poly) and len(self.coeffs) == 2:
             return _poly(tuple(_binomial_coeffs(*self.coeffs, exponent)))
@@ -222,9 +223,7 @@ class Poly(RingElement):
         cs = tuple(coeffs)
         if not set(map(type, cs)) <= {int}:
             raise TypeError("Poly coefficients must be Python ints")
-        while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        _set_coeffs(self, cs)
+        _set_coeffs(self, _poly(cs).coeffs)
 
     @classmethod
     def constant(cls, c: int) -> "Poly":
@@ -276,13 +275,18 @@ class Poly(RingElement):
             if type(other) is int:
                 return _poly(tuple(c * other for c in self.coeffs))
             _refuse_factor(self, other)
-        if not self.coeffs or not other.coeffs:
+        # one list pass over the longer factor per coefficient of the shorter:
+        # row j is added at offset j, so a power times a 2-term tail is 2 passes
+        short, long = self.coeffs, other.coeffs
+        if not short or not long:
             return _poly(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci:
-                for j, cj in enumerate(other.coeffs):
-                    out[i + j] += ci * cj
+        if len(short) > len(long):
+            short, long = long, short
+        out = [short[0] * y for y in long]
+        for j in range(1, len(short)):
+            c = short[j]
+            out.append(0)
+            out[j:] = [x + c * y for x, y in zip(out[j:], long)]
         return _poly(tuple(out))
 
     __rmul__ = __mul__
@@ -314,9 +318,13 @@ _set_value, _set_coeffs = Integer._setters + Poly._setters
 
 def _poly(cs: tuple) -> Poly:
     """The Poly of int coefficients computed from other Polys' ones, built
-    without Poly's type check: ring arithmetic makes no other kind."""
-    while cs and cs[-1] == 0:
-        cs = cs[:-1]
+    without Poly's type check: ring arithmetic makes no other kind.  The
+    one place trailing zeros are stripped, by a single slice."""
+    if cs and cs[-1] == 0:
+        end = len(cs) - 1
+        while end and cs[end - 1] == 0:
+            end -= 1
+        cs = cs[:end]
     p = object.__new__(Poly)
     _set_coeffs(p, cs)
     return p

@@ -1,7 +1,9 @@
+import math
 import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -29,6 +31,13 @@ polys = st.builds(
 
 def P(*coeffs):
     return Poly(tuple(coeffs))
+
+
+def convolution(p, q, d):
+    """The d-th coefficient of p * q, summed term by term over the indices
+    where both factors have a coefficient."""
+    lo, hi = max(0, d - q.degree), min(d, p.degree)
+    return sum(p.coeff(i) * q.coeff(d - i) for i in range(lo, hi + 1))
 
 
 class TestAdd:
@@ -100,13 +109,67 @@ def test_two_term_power_is_repeated_schoolbook_product(c0, c1, e):
     assert p**e == want
 
 
+_STEPS = [(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1) if abs(x - y) == 1]
+
+
 def test_two_term_power_commutes_with_evaluation():
-    # evaluation is a ring homomorphism: (b-1)^1499 * b over Poly, taken at
-    # v, is the integer closed form at b = v
+    # evaluation is a ring homomorphism: (b-a)^1499 times a tail of at most
+    # two terms, over Poly, taken at v, is the integer closed form at a(v),
+    # b(v).  First (b-1)^1499 * b, then every a, b of degree <= 1 with
+    # coefficients in -1..1 and b - a = +-1 +- b, at k = 1..4
     det = det_closed(BandSpec(1500, 1500, 1, Poly((1,)), Poly((0, 1))))
     assert det.degree == 1500
     for v in (-7, -1, 0, 2, 3, 10**6):
         assert det.evaluate(v) == det_closed(BandSpec(1500, 1500, 1, 1, v)).value
+    for k in (1, 2, 3, 4):
+        for a0, b0 in _STEPS:
+            for a1, b1 in _STEPS:
+                a, b = Poly((a0, a1)), Poly((b0, b1))
+                det = det_closed(BandSpec(1500, k, 1, a, b))
+                for v in (-2, 0, 3):
+                    spec = BandSpec(1500, k, 1, a.evaluate(v), b.evaluate(v))
+                    assert det.evaluate(v) == det_closed(spec).value, (k, a, b, v)
+
+
+@pytest.mark.parametrize("c0", range(-4, 5))
+def test_binomial_coeffs_match_math_comb(c0):
+    for c1 in (1, -1, 2, -2, 3, -3, 4, -4):
+        for e in range(61):
+            want = [math.comb(e, j) * c0 ** (e - j) * c1**j for j in range(e + 1)]
+            assert rings._binomial_coeffs(c0, c1, e) == want, (c1, e)
+
+
+@pytest.mark.parametrize("c0, c1", [(-1, 1), (2, 3)])
+def test_binomial_coeffs_match_math_comb_at_1500(c0, c1):
+    e = 1500
+    want = [math.comb(e, j) * c0 ** (e - j) * c1**j for j in range(e + 1)]
+    assert rings._binomial_coeffs(c0, c1, e) == want
+
+
+SHORT_FACTORS = [
+    (7,),
+    (-(10**40),),
+    (0, 1),
+    (-1, 1),
+    (10**40, -(10**40) + 1),
+    (5, 0, 1),
+    (-3, 10**40, -2),
+]
+
+
+@pytest.mark.parametrize("short", SHORT_FACTORS)
+@pytest.mark.parametrize("n", [1, 2, 3, 13, 1600])
+def test_long_by_short_product_is_a_convolution(short, n):
+    rng = random.Random(n)
+    cs = [rng.choice((0, rng.randint(-(10**40), 10**40))) for _ in range(n - 1)]
+    long_ = Poly(tuple(cs) + (rng.randint(1, 10**40),))
+    s = Poly(short)
+    for p, q in ((s, long_), (long_, s)):
+        prod = p * q
+        assert prod.degree == p.degree + q.degree
+        assert list(prod.coeffs) == [convolution(p, q, d) for d in range(prod.degree + 1)]
+    assert s * Poly() == Poly() * s == Poly()
+    assert long_ * Poly() == Poly() * long_ == Poly()
 
 
 class TestScalarMul:
@@ -152,6 +215,18 @@ class TestCanonicalForm:
     def test_zero_is_empty(self):
         assert P(0, 0, 0).coeffs == ()
         assert Poly().is_zero()
+
+    def test_long_zero_runs_strip_in_one_pass(self):
+        # cutting one zero per slice made these quadratic: about a minute
+        # for 200,000 trailing zeros; one slice takes milliseconds
+        zeros = (0,) * 200_000
+        p = Poly(tuple(range(1, 200_002)))
+        start = time.perf_counter()
+        assert Poly((1,) + zeros) == P(1)
+        assert Poly(zeros).is_zero()
+        assert (p + (-p)).is_zero()
+        assert (p * 0).is_zero()
+        assert time.perf_counter() - start < 5
 
     def test_degree(self):
         assert Poly().degree == -1
@@ -283,8 +358,7 @@ def test_pow_is_additive_in_the_exponent(x, m, n):
 @given(p=polys, q=polys, d=st.integers(0, 12))
 @settings(max_examples=80, deadline=None)
 def test_product_coefficient_is_a_convolution(p, q, d):
-    expected = sum(p.coeff(i) * q.coeff(d - i) for i in range(d + 1))
-    assert (p * q).coeff(d) == expected
+    assert (p * q).coeff(d) == convolution(p, q, d)
 
 
 @given(p=polys, q=polys)
