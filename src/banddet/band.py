@@ -41,25 +41,20 @@ _FAMILY_NAMES = ("menage-a", "menage-b", "excedance-k2")
 
 
 class BandSpec(_Record):
-    """Five-parameter band description with int 1 <= l <= k <= n and a != b
-    (a bool or float order or width raises TypeError).
+    """Five-parameter band description with int n >= 1, int 1 <= l <= k
+    and a != b, by the shape rule of :func:`_shape`.
 
-    l > k is accepted and normalized by swapping k and l.  The swap
-    transposes the matrix, which leaves the determinant (and permanent)
-    unchanged; entry positions reflect the normalized orientation.
+    A width beyond n draws the matrix of width n.  l > k is accepted and
+    normalized by swapping k and l.  The swap transposes the matrix, which
+    leaves the determinant (and permanent) unchanged; entry positions
+    reflect the normalized orientation.
     """
 
     __slots__ = ("n", "k", "l", "a", "b")
 
     def __init__(self, n: int, k: int, l: int, a, b) -> None:
-        for name, v in zip("nkl", (n, k, l)):
-            _require_int(name, v)
+        k, l = _shape(n, k, l)
         a, b = as_element(a), as_element(b)
-        if not (1 <= k <= n and 1 <= l <= n):
-            _require_order(n)  # n < 1 fails with the order rule's message
-            raise ValueError(f"need 1 <= k, l <= n, got n={n} k={k} l={l}")
-        if l > k:
-            k, l = l, k
         if type(a) is not type(b):
             raise MixedRingError("a and b must come from the same ring")
         if a == b:
@@ -85,6 +80,24 @@ def _band_run(n: int, k: int, l: int, i: int) -> tuple[int, int]:
     half-open range [lo, hi) of j with -l < j - i < k, clipped to the
     matrix, so windows wider than the matrix are allowed."""
     return max(i - l + 1, 0), min(i + k, n)
+
+
+def _shape(n: int, k: int, l: int) -> tuple[int, int]:
+    """The shape rule of every band routine that takes an order: n, k and l
+    are ints, n follows the order rule and each width is at least 1 (a
+    refusal names the width as passed).  Returns the widths ordered
+    (k, l) with l <= k.  Widths beyond n are allowed: the window saturates
+    at the matrix edge, and every closed form stays exact there."""
+    # the integer rule only when the inline test fails, as on every hot path
+    if type(n) is not int or type(k) is not int or type(l) is not int:
+        for name, v in zip("nkl", (n, k, l)):
+            _require_int(name, v)
+    if n < 1:
+        _require_order(n)
+    if k < 1 or l < 1:
+        name, width = ("k", k) if k < 1 else ("l", l)
+        raise ValueError(f"width {name} must be at least 1, got {width}")
+    return (l, k) if l > k else (k, l)
 
 
 def entry(spec: BandSpec, i: int, j: int) -> RingElement:
@@ -179,10 +192,7 @@ def det_case1(n: int, k: int, a, b) -> RingElement:
     k > n is allowed: the band window saturates and the value reduces to
     the all-b-triangle form, matching the matrix the window rule gives.
     """
-    _require_int("n", n)
-    _require_int("k", k)
-    if n < 1 or k < 1:
-        raise ValueError(f"need n >= 1 and k >= 1, got n={n} k={k}")
+    _shape(n, k, 1)
     return _factored(n, k, 1, as_element(a), as_element(b)).expand()
 
 
@@ -195,15 +205,13 @@ def det_case2(n: int, k: int, l: int, a, b) -> RingElement:
 
     The sign uses the integer quotient s = n // (k+l-1), which on the two
     nonzero branches equals the fractional-looking exponent rewritten
-    without division.  Widths beyond n are allowed; the window rule
-    saturates and the formula stays exact.
+    without division.  The widths follow the shape rule (either order,
+    beyond n allowed), and the smaller one must exceed 1.
     """
-    _require_int("n", n)
-    _require_int("k", k)
-    _require_int("l", l)
-    if n < 1 or not 1 < l <= k:
-        raise ValueError(f"need n >= 1 and 1 < l <= k, got n={n} k={k} l={l}")
-    return _factored(n, k, l, as_element(a), as_element(b)).expand()
+    hi, lo = _shape(n, k, l)
+    if lo == 1:
+        raise ValueError(f"need both widths above 1, got k={k} l={l}")
+    return _factored(n, hi, lo, as_element(a), as_element(b)).expand()
 
 
 def det_factored(spec: BandSpec) -> FactoredDet:
@@ -237,11 +245,9 @@ def g_closed(n: int, a, b) -> RingElement:
 
 def bordered_matrix(n: int, k: int, a, b) -> DenseMatrix:
     """The matrix whose determinant f_closed predicts: an (n-1)-order
-    width-k band block with an all-a last row and column appended."""
-    _require_order(n)
-    _require_int("k", k)
-    if n > 1 and not 1 <= k <= n - 1:
-        raise ValueError(f"need 1 <= k <= n-1, got k={k} n={n}")
+    width-k band block with an all-a last row and column appended.  Any
+    width k >= 1 is allowed, since f_closed does not depend on it."""
+    _shape(n, k, 1)
     block = band_rows(n - 1, k, 1, b, a)
     return DenseMatrix(tuple(row + (a,) for row in block) + ((a,) * n,))
 
@@ -252,15 +258,12 @@ def det_recurrence(n: int, k: int, a, b) -> RingElement:
         d_n = (b-a)^k d_{n-k} + (b-a)^(n-1) a     while 2k < n,
         d_m = (b-a)^(m-1) (b + a)                 once k >= m/2 (k < m),
 
-    with the k = n spec handled by g_closed.  Independent of det_case1;
-    used as a cross-check path."""
-    _require_int("n", n)
-    _require_int("k", k)
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k} n={n}")
+    with k >= n (all b on and above the diagonal) handled by g_closed.
+    Independent of det_case1; used as a cross-check path."""
+    _shape(n, k, 1)
     a = as_element(a)
     b = as_element(b)
-    if k == n:
+    if k >= n:
         return g_closed(n, a, b)
     m = n
     while 2 * k < m:
@@ -277,8 +280,9 @@ def det_recurrence(n: int, k: int, a, b) -> RingElement:
 
 
 def all_b_row_count(spec: BandSpec) -> int:
-    """How many rows consist entirely of b: max(k + l - n, 0)."""
-    return max(spec.k + spec.l - spec.n, 0)
+    """How many rows consist entirely of b: max(k + l - n, 0) with each
+    width clipped at n, where the window saturates."""
+    return max(min(spec.k, spec.n) + min(spec.l, spec.n) - spec.n, 0)
 
 
 def spec_to_json(spec: BandSpec) -> dict:

@@ -160,13 +160,11 @@ def _cmd_bench(args) -> int:
     import time
 
     sizes = [_int_parse(s) for s in args.sizes.split(",")]
-    if any(n < 1 for n in sizes):
-        raise ValueError("sizes must be positive integers, comma-separated")
+    # every spec first, so a bad order or width is refused before any work
+    specs = [band.BandSpec(n, args.k, args.l, args.a, args.b) for n in sizes]
     # printed once, after every order agrees: a disagreement leaves stdout empty
     lines = ["n,closed_seconds,method,method_seconds,agree"]
-    for n in sizes:
-        # the window saturates at the matrix edge, so clamping keeps the matrix
-        spec = band.BandSpec(n, min(args.k, n), min(args.l, n), args.a, args.b)
+    for spec in specs:
         # the guard checks the largest order, so it refuses before any work
         run, m = _dense(args.method, spec, max(sizes))
         t0 = time.perf_counter()
@@ -176,9 +174,9 @@ def _cmd_bench(args) -> int:
         other = run(m)
         t_other = time.perf_counter() - t0
         if closed != other:
-            print(f"error: methods disagree at n={n}", file=sys.stderr)
+            print(f"error: methods disagree at n={spec.n}", file=sys.stderr)
             return EXIT_CHECK_FAILED
-        lines.append(f"{n},{t_closed:.6f},{args.method},{t_other:.6f},true")
+        lines.append(f"{spec.n},{t_closed:.6f},{args.method},{t_other:.6f},true")
     print("\n".join(lines))
     return EXIT_OK
 

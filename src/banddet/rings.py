@@ -13,6 +13,7 @@ interface the two rings share, so it runs unchanged in either.
 from __future__ import annotations
 
 import re
+from functools import cache
 from itertools import zip_longest
 
 from .errors import MixedRingError, _Record, _require_int
@@ -83,18 +84,13 @@ def _int_str(x: int) -> str:
     import decimal
 
     D = decimal.Decimal
-    pow2: dict[int, decimal.Decimal] = {}
 
+    @cache
     def two_to(w: int) -> decimal.Decimal:
-        result = pow2.get(w)
-        if result is None:
-            if w <= _PLAIN_STR_BITS:
-                result = D(2) ** w
-            else:
-                half = w >> 1
-                result = two_to(half) * two_to(w - half)
-            pow2[w] = result
-        return result
+        if w <= _PLAIN_STR_BITS:
+            return D(2) ** w
+        half = w >> 1
+        return two_to(half) * two_to(w - half)
 
     def convert(n: int, w: int) -> decimal.Decimal:
         if w <= _PLAIN_STR_BITS:
@@ -121,15 +117,15 @@ def _int_parse(s: object) -> int:
     if not isinstance(s, str) or re.fullmatch(r"-?[0-9]+", s) is None:
         raise ValueError(f"not a canonical decimal integer: {s!r}")
     digits = s.lstrip("-")
-    pow10: dict[int, int] = {}
+    if len(digits) <= _PLAIN_STR_DIGITS:
+        return int(s)
+    ten_to = cache(lambda w: 10**w)
 
     def convert(start: int, stop: int) -> int:
         if stop - start <= _PLAIN_STR_DIGITS:
             return int(digits[start:stop])
         w = (stop - start) >> 1
-        if w not in pow10:
-            pow10[w] = 10**w
-        return convert(start, stop - w) * pow10[w] + convert(stop - w, stop)
+        return convert(start, stop - w) * ten_to(w) + convert(stop - w, stop)
 
     x = convert(0, len(digits))
     return -x if s[0] == "-" else x

@@ -25,6 +25,7 @@ from banddet import (
     spec_from_json,
     spec_to_json,
 )
+from banddet.checks import AB_PAIRS
 
 AB_GRID = [(a, b) for a in range(-2, 3) for b in range(-2, 3) if a != b]
 
@@ -38,9 +39,11 @@ class TestBandSpec:
         with pytest.raises(MixedRingError):
             BandSpec(4, 2, 1, Integer(1), Poly.variable())
 
-    def test_rejects_k_beyond_n(self):
-        with pytest.raises(ValueError):
-            BandSpec(3, 4, 1, 1, 0)
+    def test_k_beyond_n_gives_the_k_equals_n_determinant(self):
+        # the window saturates at the matrix edge: the same matrix as k = n
+        for a, b in AB_GRID:
+            assert det_closed(BandSpec(3, 4, 1, a, b)) == det_closed(BandSpec(3, 3, 1, a, b))
+            assert materialize(BandSpec(3, 4, 1, a, b)) == materialize(BandSpec(3, 3, 1, a, b))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -287,6 +290,12 @@ class TestBorderedMatrix:
     def test_order_one(self):
         assert bordered_matrix(1, 1, 3, 4).rows == ((Integer(3),),)
 
+    def test_any_width_at_every_order(self):
+        # the block's window saturates, and f_closed does not depend on k
+        for n in range(1, 8):
+            for k in range(1, n + 4):
+                assert det_laplace(bordered_matrix(n, k, 2, 5)) == f_closed(n, 2, 5), (n, k)
+
     def test_rejects_mixed_rings(self):
         # the matrix refuses what f_closed, its determinant, refuses
         with pytest.raises(MixedRingError):
@@ -358,6 +367,30 @@ class TestAllBRowCount:
                         1 for row in m.rows if all(e == spec.b for e in row)
                     )
                     assert all_b_row_count(spec) == scanned
+
+
+# a few integer pairs and one polynomial pair for the sweep of every shape
+SWEEP_PAIRS = [AB_PAIRS[i] for i in (0, 7, 12, 19)] + [(Poly.constant(1), Poly.variable())]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_every_width_in_either_order_matches_laplace(n):
+    # widths up to n + 3 in both orders: beyond n the window saturates, and
+    # every closed form still gives the determinant of the matrix drawn
+    for k in range(1, n + 4):
+        for l in range(1, n + 4):
+            for a, b in SWEEP_PAIRS:
+                want = det_laplace(DenseMatrix(band_rows(n, k, l, b, a)))
+                spec = BandSpec(n, k, l, a, b)
+                assert det_closed(spec) == want, (n, k, l, a, b)
+                if l == 1:
+                    assert det_case1(n, k, a, b) == want, (n, k, a, b)
+                    assert det_recurrence(n, k, a, b) == want, (n, k, a, b)
+                elif k > 1:
+                    assert det_case2(n, k, l, a, b) == want, (n, k, l, a, b)
+            rows = materialize(spec).rows
+            scanned = sum(all(e == spec.b for e in row) for row in rows)
+            assert all_b_row_count(spec) == scanned, (n, k, l)
 
 
 def test_divisibility_guard_is_wired():

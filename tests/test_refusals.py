@@ -27,6 +27,7 @@ from banddet import (
     brute_force_excedance_census,
     det_case1,
     det_case2,
+    det_closed,
     det_recurrence,
     element_from_json,
     element_to_json,
@@ -52,6 +53,9 @@ from banddet.cli import main
 # every entry point that takes an order, called at order n
 BY_ORDER = {
     "BandSpec": lambda n: BandSpec(n, 1, 1, 1, 0),
+    "det_case1": lambda n: det_case1(n, 1, 1, 0),
+    "det_case2": lambda n: det_case2(n, 2, 2, 1, 0),
+    "det_recurrence": lambda n: det_recurrence(n, 1, 1, 0),
     "f_closed": lambda n: f_closed(n, 1, 0),
     "g_closed": lambda n: g_closed(n, 1, 0),
     "bordered_matrix": lambda n: bordered_matrix(n, 1, 1, 0),
@@ -70,6 +74,8 @@ BY_ORDER = {
 }
 # a matrix's order is its row count, which is always an int
 TYPED_ORDER = [name for name in BY_ORDER if name not in ("DenseMatrix", "CharMatrix")]
+# the entry points that check their shape by band._shape, which names its field
+BY_SHAPE = ("BandSpec", "det_case1", "det_case2", "det_recurrence", "bordered_matrix")
 
 
 @pytest.mark.parametrize("call", BY_ORDER.values(), ids=BY_ORDER.keys())
@@ -81,8 +87,8 @@ def test_order_zero_is_refused_with_one_message(call):
 @pytest.mark.parametrize("order", [4.5, True], ids=["float", "bool"])
 @pytest.mark.parametrize("name", TYPED_ORDER)
 def test_non_int_order_is_refused_with_one_message(name, order):
-    # BandSpec names its field, as it does for k and l
-    what = "n" if name == "BandSpec" else "order n"
+    # the shape rule names its field, as it does for k and l
+    what = "n" if name in BY_SHAPE else "order n"
     with pytest.raises(TypeError, match=f"^{re.escape(f'{what} must be an int, got {order!r}')}$"):
         BY_ORDER[name](order)
 
@@ -91,9 +97,10 @@ def test_non_int_order_is_refused_with_one_message(name, order):
     "call, exc, message",
     [
         (lambda: family_table("menage-a", 0), ValueError, "n_max must be positive"),
-        (lambda: det_case1(0, 1, 1, 0), ValueError, "need n >= 1 and k >= 1, got n=0 k=1"),
-        (lambda: bordered_matrix(4, 4, 1, 0), ValueError, "need 1 <= k <= n-1, got k=4 n=4"),
-        (lambda: det_recurrence(3, 4, 1, 0), ValueError, "need 1 <= k <= n, got k=4 n=3"),
+        (lambda: det_case1(0, 1, 1, 0), ValueError, "order n must be positive"),
+        (lambda: bordered_matrix(4, 0, 1, 0), ValueError, "width k must be at least 1, got 0"),
+        (lambda: bordered_matrix(1, 0, 1, 2), ValueError, "width k must be at least 1, got 0"),
+        (lambda: det_case2(9, 1, 3, 1, 0), ValueError, "need both widths above 1, got k=1 l=3"),
         (lambda: ParityCount(2, 1, 3, 2), ParityError, "even - odd != det (2-1 != 2)"),
         (
             lambda: ExcedanceCensus(2, (ParityCount(0, 1, 1, -1),)),
@@ -167,7 +174,8 @@ def test_non_int_order_is_refused_with_one_message(name, order):
         (lambda: Poly((1, 2)) - 3, MixedRingError, "cannot subtract Poly and int"),
     ],
     ids=[
-        "family_table", "det_case1", "bordered_matrix-width", "det_recurrence-width",
+        "family_table", "det_case1", "bordered_matrix-width", "bordered_matrix-width-order-1",
+        "det_case2-width-1",
         "ParityCount", "ExcedanceCensus-short", "Integer-float", "Poly.coeff-negative",
         "element_to_json-int", "element_from_json-int", "Integer-bool", "BandSpec-bool-entries",
         "DenseMatrix-bool", "DenseMatrix-float", "CharMatrix-bool", "CharMatrix-float",
@@ -296,23 +304,47 @@ def test_band_rows_refuses_a_width_below_one_or_a_negative_order(n, k, l):
         band_rows(n, k, l, 1, 0)
 
 
-# the range is tested before l > k is swapped, so the message shows the
-# widths as they were passed
-WIDTHS_OUT_OF_RANGE = [(0, 1), (1, 0), (1, 5), (5, 1), (0, 0)]
+# the widths are tested before l > k is swapped, so the message names the
+# width as it was passed
+WIDTHS_BELOW_ONE = {(0, 1): "k", (1, 0): "l", (0, 0): "k"}
+# a width beyond n saturates: the matrix is the one of width n
+WIDTHS_BEYOND_N = [(1, 5), (5, 1)]
 
 
-@pytest.mark.parametrize("k, l", WIDTHS_OUT_OF_RANGE)
+@pytest.mark.parametrize("k, l", WIDTHS_BELOW_ONE)
 def test_band_spec_range_error_names_the_widths_as_passed(k, l):
-    with pytest.raises(ValueError, match=f"^need 1 <= k, l <= n, got n=3 k={k} l={l}$"):
+    name = WIDTHS_BELOW_ONE[k, l]
+    with pytest.raises(ValueError, match=f"^width {name} must be at least 1, got 0$"):
         BandSpec(3, k, l, 0, 1)
 
 
-@pytest.mark.parametrize("k, l", WIDTHS_OUT_OF_RANGE)
+@pytest.mark.parametrize("k, l", WIDTHS_BELOW_ONE)
 def test_cli_range_error_names_the_widths_as_passed(capsys, k, l):
+    name = WIDTHS_BELOW_ONE[k, l]
     code = main(["det", "--n", "3", "--k", str(k), "--l", str(l), "--a", "0", "--b", "1"])
-    assert (code, *capsys.readouterr()) == (
-        2, "", f"error: need 1 <= k, l <= n, got n=3 k={k} l={l}\n"
-    )
+    assert (code, *capsys.readouterr()) == (2, "", f"error: width {name} must be at least 1, got 0\n")
+
+
+@pytest.mark.parametrize("k, l", WIDTHS_BEYOND_N)
+def test_band_spec_accepts_widths_beyond_n(k, l):
+    spec = BandSpec(3, k, l, 0, 1)
+    assert (spec.k, spec.l) == (max(k, l), min(k, l))
+    assert det_closed(spec) == det_closed(BandSpec(3, min(k, 3), min(l, 3), 0, 1))
+
+
+@pytest.mark.parametrize("k, l", WIDTHS_BEYOND_N)
+def test_cli_widths_beyond_n_print_the_saturated_det(capsys, k, l):
+    def det_line(k, l):
+        code = main(["det", "--n", "3", "--k", str(k), "--l", str(l), "--a", "0", "--b", "1"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        return [line for line in out.splitlines() if line.startswith("det:")]
+
+    assert det_line(k, l) == det_line(min(k, 3), min(l, 3))
+
+
+def test_det_recurrence_beyond_n_equals_det_case1():
+    assert det_recurrence(3, 4, 1, 0) == det_case1(3, 4, 1, 0) == det_case1(3, 3, 1, 0)
 
 
 @pytest.mark.parametrize(
