@@ -87,12 +87,8 @@ class _Record:
 
     __delattr__ = __setattr__
 
-    # det_laplace tests `e != zero` for every entry: != is one call, not == inverted
     def __eq__(self, other):
         return self._key(self) == self._key(other) if type(other) is type(self) else NotImplemented
-
-    def __ne__(self, other):
-        return self._key(self) != self._key(other) if type(other) is type(self) else NotImplemented
 
     def __hash__(self) -> int:
         return hash(self._key(self))

@@ -156,10 +156,6 @@ class RingElement(_Record):
                 base = base * base
         return result
 
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        _require_same_ring(self, other, "subtract")
-        return self + (-other)
-
 
 class Integer(RingElement):
     """Arbitrary-precision signed integer; wraps exactly an int, not a bool."""
@@ -183,6 +179,10 @@ class Integer(RingElement):
     def __add__(self, other: "Integer") -> "Integer":
         _require_same_ring(self, other, "add")
         return Integer(self.value + other.value)
+
+    def __sub__(self, other: "Integer") -> "Integer":
+        _require_same_ring(self, other, "subtract")
+        return Integer(self.value - other.value)
 
     def __neg__(self) -> "Integer":
         return Integer(-self.value)
@@ -261,6 +261,12 @@ class Poly(RingElement):
         _require_same_ring(self, other, "add")
         return _poly(
             tuple(x + y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=0))
+        )
+
+    def __sub__(self, other: "Poly") -> "Poly":
+        _require_same_ring(self, other, "subtract")
+        return _poly(
+            tuple(x - y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=0))
         )
 
     def __neg__(self) -> "Poly":

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -10,6 +11,7 @@ from banddet import (
     Poly,
     SizeLimitError,
     det_bareiss,
+    det_closed,
     det_laplace,
     materialize,
     permanent_expansion,
@@ -49,6 +51,102 @@ class TestDetLaplace:
         m = int_matrix([[1, 2, 0], [0, 1, 0], [0, 0, 1]])
         with pytest.raises(SizeLimitError):
             det_laplace(m)
+
+
+def leibniz(m):
+    """det m as the sum over every permutation of its signed entry product."""
+    n, rows = m.n, m.rows
+    total = rows[0][0].ring_zero()
+    for perm in permutations(range(n)):
+        prod = rows[0][perm[0]]
+        for i in range(1, n):
+            prod = prod * rows[i][perm[i]]
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total = total - prod if inversions & 1 else total + prod
+    return total
+
+
+STRUCTURES = ("sparse", "zero row", "zero column", "equal rows")
+
+
+def sparse_matrix(rng, n, draw, zero, structure):
+    """An order-n matrix, about half of its entries `zero` and the rest
+    from `draw()`, with one zero row or column, or two equal rows, on
+    request: their minors cancel to zero from nonzero terms."""
+    rows = [[draw() if rng.random() < 0.5 else zero for _ in range(n)] for _ in range(n)]
+    i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+    if structure == "zero row":
+        rows[i] = [zero] * n
+    elif structure == "zero column":
+        for row in rows:
+            row[j] = zero
+    elif structure == "equal rows" and n > 1:
+        rows[i] = list(rows[j])
+    return DenseMatrix(rows)
+
+
+def draw_int(rng):
+    return lambda: rng.choice((-3, -2, -1, 1, 2, 3))
+
+
+def draw_poly(rng):
+    return lambda: Poly((rng.randint(-2, 2), rng.randint(-1, 1)))
+
+
+# the verify workload's polynomial (a, b): degree at most 1, b - a = +-1 +- x
+_STEPS = ((-1, 0), (0, -1), (0, 1), (1, 0))
+POLY_PAIRS = [
+    (Poly((a0, a1)), Poly((b0, b1))) for a0, b0 in _STEPS for a1, b1 in _STEPS
+]
+
+
+class TestLaplaceSweep:
+    @pytest.mark.parametrize("structure", STRUCTURES)
+    @pytest.mark.parametrize("ring", ("int", "poly"))
+    def test_matches_leibniz(self, ring, structure):
+        rng = random.Random(f"{ring}/{structure}")
+        draw, zero = (draw_int(rng), 0) if ring == "int" else (draw_poly(rng), Poly())
+        for n in range(1, 8):
+            for _ in range(6 if ring == "int" else 3):
+                m = sparse_matrix(rng, n, draw, zero, structure)
+                want = leibniz(m)
+                assert det_laplace(m) == want, (n, m)
+                if structure != "sparse" and n > 1:
+                    assert want.is_zero()
+
+    @pytest.mark.parametrize("structure", STRUCTURES)
+    def test_matches_bareiss_up_to_12(self, structure):
+        rng = random.Random(structure)
+        for n in range(1, 13):
+            for _ in range(3):
+                m = sparse_matrix(rng, n, draw_int(rng), 0, structure)
+                assert det_laplace(m) == det_bareiss(m), (n, m)
+
+    def test_polynomial_bands_match_the_closed_form(self):
+        for n in range(1, 10):
+            for k in range(1, n + 1):
+                for l in range(1, k + 1):
+                    for a, b in POLY_PAIRS:
+                        spec = BandSpec(n, k, l, a, b)
+                        assert det_laplace(materialize(spec)) == det_closed(spec), spec
+
+    @pytest.mark.parametrize(
+        "spec, most",
+        [
+            # 846 products; expanding every nonzero entry against every minor made 24,576
+            (BandSpec(12, 5, 3, Poly((-1, 1)), Poly((1, 1))), 1000),
+            # zero off the band: 57 products, against 419
+            (BandSpec(12, 3, 2, Poly(), Poly((1, 1))), 100),
+        ],
+    )
+    def test_multiplies_only_nonzero_entries_by_nonzero_minors(self, monkeypatch, spec, most):
+        m, want = materialize(spec), det_closed(spec)
+        factors = []
+        real = Poly.__mul__
+        monkeypatch.setattr(Poly, "__mul__", lambda x, y: factors.append((x, y)) or real(x, y))
+        assert det_laplace(m) == want
+        assert len(factors) <= most
+        assert not any(x.is_zero() or y.is_zero() for x, y in factors)
 
 
 class TestDetBareiss:

@@ -58,6 +58,36 @@ class TestAdd:
             P(1) + Integer(1)
 
 
+class TestSub:
+    def test_integers(self):
+        assert Integer(2) - Integer(5) == Integer(-3)
+
+    def test_trailing_zeros_stripped(self):
+        # (1 + b) - b is the constant 1, not 1 + 0*b
+        diff = P(1, 1) - P(0, 1)
+        assert diff == P(1)
+        assert diff.coeffs == (1,)
+
+    @given(ints | polys)
+    def test_self_minus_self_is_the_ring_zero(self, x):
+        diff = x - x
+        assert type(diff) is type(x)
+        assert diff == x.ring_zero()
+        assert diff.is_zero()
+
+    @given(polys, polys)
+    def test_poly_difference_is_the_sum_with_the_negation(self, x, y):
+        assert x - y == x + (-y)
+
+    def test_mixed_ring_rejected(self):
+        with pytest.raises(MixedRingError, match="cannot subtract Integer and Poly"):
+            Integer(1) - P(1)
+        with pytest.raises(MixedRingError, match="cannot subtract Poly and Integer"):
+            P(1) - Integer(1)
+        with pytest.raises(MixedRingError, match="cannot subtract Poly and int"):
+            P(1) - 1
+
+
 class TestMul:
     def test_poly_square(self):
         assert P(-1, 1) * P(-1, 1) == P(1, -2, 1)
