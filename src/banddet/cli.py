@@ -49,10 +49,14 @@ _DENSE = {
 
 def _dense(method: str, spec, order: int):
     """The oracle of a dense method, looked up on `oracle` now, and spec's
-    matrix, built only once the method's guard admits `order`: a refusal
-    costs nothing and names the oracle."""
+    matrix, built only once the method's guard admits `order` (and, for
+    Bareiss, DENSE_BITS `order` times the bits of the larger entry): a
+    refusal costs nothing and names the oracle."""
     name, guard = _DENSE[method]
     oracle.check_size(guard, order, name)
+    if method == "bareiss":
+        bits = max(abs(spec.a.value), abs(spec.b.value)).bit_length()
+        oracle.check_size("DENSE_BITS", order * bits, name, "n * entry bits")
     return getattr(oracle, name), band.materialize(spec)
 
 

@@ -34,7 +34,11 @@ _DEFAULT_LIMITS = {
     "PARITY_ENUM": 10,
     "CENSUS_ENUM": 9,
     "TRANSFER": 200,  # the rook-number census paths of permcount (polynomial time)
-    "DENSE": 200,  # the CLI's Bareiss runs: n^2 entries, O(n^3) growing products
+    # the CLI's Bareiss runs: DENSE bounds the n^2 entries built, DENSE_BITS
+    # n times the bits of max(|a|, |b|), which bounds the size of the minors
+    # elimination builds (the slowest admitted run takes about 2 s)
+    "DENSE": 200,
+    "DENSE_BITS": 50_000,
 }
 
 
@@ -54,11 +58,11 @@ def size_limit(name: str) -> int:
     raise ValueError(f"{var} must be a non-negative integer, got {raw!r}")
 
 
-def check_size(name: str, n: int, what: str) -> None:
+def check_size(name: str, n: int, what: str, measure: str = "order") -> None:
     limit = size_limit(name)
     if n > limit:
         raise SizeLimitError(
-            f"{what} refuses order {n} (limit {limit}; "
+            f"{what} refuses {measure} {n} (limit {limit}; "
             f"set BANDDET_LIMIT_{name} to override)"
         )
 
@@ -158,35 +162,56 @@ def _exact_div(x: int, d: int) -> int:
 
 
 def det_bareiss(m: DenseMatrix) -> Integer:
-    """Exact integer determinant by Bareiss fraction-free elimination.
+    """Exact integer determinant by Bareiss fraction-free elimination, doing
+    only the work the matrix's nonzeros need.
 
-    Every interior division is by the previous pivot and is exact by
-    construction; inexactness is checked and reported as a bug.
+    Row i first becomes row_i - row_(i+1) and column j col_j - col_(j+1),
+    for i, j < n-1.  Both are unimodular, so the determinant stays, and a
+    matrix constant along its diagonals except at a few value changes
+    (every band matrix of the package) keeps a handful of nonzeros a row.
+    Step k then updates only the rows with a nonzero in column k, over the
+    union of their span and the pivot row's.  A row that skips step t is
+    only scaled by p_t / p_(t-1) (Sylvester's identity, Bareiss 1968), and
+    that product telescopes: a row last updated at step s - 1 is brought up
+    to step k by multiplying by p_(k-1) and dividing by p_(s-1), so its
+    next update divides by p_(s-1) in place of p_(k-1).  Every division is
+    exact by construction; inexactness is checked and reported as a bug.
     """
     if not m.is_integer():
         raise TypeError("det_bareiss requires the integer ring")
     n = m.n
     a, _, _, wrap = _raw_rows(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
+    # row_i - row_(i+1), then col_j - col_(j+1), against a zero row and column past the edge
+    a = [[*map(operator.sub, r, s), 0] for r, s in zip(a, a[1:] + [[0] * n])]
+    a = [[*map(operator.sub, r, r[1:])] for r in a]
+    # one past each row's last nonzero column, and its next update's divisor
+    end = [next((j + 1 for j in range(n - 1, -1, -1) if row[j]), 0) for row in a]
+    div = [1] * n
+    prev = sign = 1
+    for k in range(n):
         if a[k][k] == 0:
             for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
+                if a[i][k]:
+                    a[k], a[i], end[k], end[i], div[k], div[i] = a[i], a[k], end[i], end[k], div[i], div[k]
                     sign = -sign
                     break
             else:
                 return wrap(0)
-        pk = a[k][k]
-        rowk = a[k]
-        rng = range(k + 1, n)
-        for i in rng:
+        rowk, stop, d = a[k], end[k], div[k]
+        if d != prev:
+            rowk[k:stop] = [_exact_div(prev * x, d) for x in rowk[k:stop]]
+        pk, tail = rowk[k], rowk[k + 1 :]
+        for i in range(k + 1, n):
             rowi = a[i]
             f = rowi[k]
-            rowi[k + 1 :] = [_exact_div(pk * rowi[j] - f * rowk[j], prev) for j in rng]
+            if f:
+                top = end[i]
+                if top < stop:
+                    top = end[i] = stop
+                d, div[i] = div[i], pk
+                rowi[k + 1 : top] = [_exact_div(pk * x - f * y, d) for x, y in zip(rowi[k + 1 : top], tail)]
         prev = pk
-    return wrap(sign * a[n - 1][n - 1])
+    return wrap(sign * prev)
 
 
 def permanent_ryser(m: DenseMatrix) -> RingElement:

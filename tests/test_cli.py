@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from banddet import band, menage_a_permanent_rec, oracle, rings
+from banddet import BandSpec, band, det_closed, menage_a_permanent_rec, oracle, rings
 from banddet.cli import main
 
 from reference_tables import MENAGE_A, MENAGE_B, EXCEDANCE_K2
@@ -311,7 +311,7 @@ def _no_matrix(spec):
 class TestGuardsBeforeMatrix:
     @pytest.fixture(autouse=True)
     def default_limits(self, monkeypatch):
-        for name in ("LAPLACE", "RYSER_INT", "EXPANSION", "DENSE"):
+        for name in ("LAPLACE", "RYSER_INT", "EXPANSION", "DENSE", "DENSE_BITS"):
             monkeypatch.delenv(f"BANDDET_LIMIT_{name}", raising=False)
 
     @pytest.mark.parametrize(
@@ -357,6 +357,26 @@ class TestGuardsBeforeMatrix:
             "error: det_bareiss refuses order 3000 (limit 200; "
             "set BANDDET_LIMIT_DENSE to override)\n"
         )
+
+    # 200 * 251 bits is over the DENSE_BITS default of 50,000, 200 * 250 exactly at it
+    @pytest.mark.parametrize("verb", ["det", "bench"])
+    def test_bareiss_refuses_large_entries_without_building_a_matrix(self, capsys, monkeypatch, verb):
+        monkeypatch.setattr(band, "materialize", _no_matrix)
+        args = ("det", "--n", "200", "--k", "2", "--l", "1") if verb == "det" else ("bench", "4,200")
+        code, out, err = run(capsys, *args, "--a", "1", "--b", str(-(2**250)), "--method", "bareiss")
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: det_bareiss refuses n * entry bits 50200 (limit 50000; "
+            "set BANDDET_LIMIT_DENSE_BITS to override)\n"
+        )
+
+    def test_bareiss_admits_entries_at_the_bits_limit(self, capsys):
+        b = -(2**250 - 1)
+        spec = ("--n", "200", "--k", "2", "--l", "1", "--a", "1", "--b", str(b))
+        code, out, _ = run(capsys, "det", *spec, "--method", "bareiss")
+        assert code == 0
+        assert out.splitlines()[-1] == f"det: {det_closed(BandSpec(200, 2, 1, 1, b))}"
 
     def test_bench_refuses_before_printing(self, capsys):
         code, out, err = run(capsys, "bench", "4,20", "--method", "laplace")

@@ -1,4 +1,6 @@
+import inspect
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from banddet import (
     BandSpec,
     DenseMatrix,
+    InexactDivisionError,
     Integer,
     MixedRingError,
     Poly,
@@ -17,6 +20,7 @@ from banddet import (
     permanent_expansion,
     permanent_ryser,
 )
+from banddet import oracle
 
 
 def int_matrix(rows):
@@ -184,6 +188,82 @@ class TestDetBareiss:
         m = DenseMatrix(((Poly.variable(),),))
         with pytest.raises(TypeError):
             det_bareiss(m)
+
+
+# the verify workload's integer (a, b): a in -2..1, b - a in +-1..4
+VERIFY_INT_PAIRS = [(a, a + g) for a in range(-2, 2) for g in (1, 2, 3, 4, -1, -2, -3, -4)]
+
+
+def fraction_det(m):
+    """det m by Gaussian elimination over the rationals: the test's own
+    reference, sharing no code with the fraction-free elimination."""
+    rows = [[Fraction(e.value) for e in row] for row in m.rows]
+    n, det = m.n, Fraction(1)
+    for k in range(n):
+        p = next((i for i in range(k, n) if rows[i][k]), None)
+        if p is None:
+            return Integer(0)
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for i in range(k + 1, n):
+            f = rows[i][k] / rows[k][k]
+            if f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+    assert det.denominator == 1
+    return Integer(det.numerator)
+
+
+class TestSparseBareiss:
+    """The differenced, lazy-row elimination against the closed form on
+    band matrices and against a rational elimination on matrices with no
+    structure."""
+
+    # all 32 pairs at every small order; above it 4 pairs per shape,
+    # rotating so each order still meets all 32 across its 15 shapes
+    @pytest.mark.parametrize("n", [*range(1, 25), 31, 32, 47, 64, 100, 127, 160])
+    def test_matches_the_closed_form(self, n):
+        shapes = [(k, l) for k in range(1, 6) for l in range(1, 4)]
+        for s, (k, l) in enumerate(shapes):
+            pairs = VERIFY_INT_PAIRS if n <= 24 else VERIFY_INT_PAIRS[s % 8 :: 8]
+            for a, b in pairs:
+                spec = BandSpec(n, k, l, a, b)
+                assert det_bareiss(materialize(spec)) == det_closed(spec), spec
+
+    @pytest.mark.parametrize("lo, hi", [(-9, 9), (0, 1)], ids=["dense", "zero-one"])
+    def test_matches_a_rational_elimination(self, lo, hi):
+        rng = random.Random(f"{lo}..{hi}")
+        for n in [*range(1, 13), 16, 20, 27, 33, 40]:
+            for _ in range(3):
+                m = random_int_matrix(rng, n, lo, hi)
+                assert det_bareiss(m) == fraction_det(m), m
+
+    def test_every_division_is_checked(self, monkeypatch):
+        # k, l >= 2: the differenced diagonal is 2b - b - b = 0, so step 0
+        # swaps rows, and a row first reached at step k > 0 divides by 1
+        spec = BandSpec(40, 3, 2, -1, 2)
+        m, want = materialize(spec), det_closed(spec)
+        real = oracle._exact_div
+        divisors = []
+
+        def recording(x, d):
+            divisors.append(d)
+            return real(x, d)
+
+        monkeypatch.setattr(oracle, "_exact_div", recording)
+        assert det_bareiss(m) == want
+        # far fewer than the n(n-1)(2n-1)/6 = 20,540 of a dense elimination
+        assert 0 < len(divisors) < 1000
+        # a row untouched since step 0 caught up after a pivot other than +-1
+        first_big = next(i for i, d in enumerate(divisors) if abs(d) > 1)
+        assert 1 in divisors[first_big:]
+        # no division bypasses it: a quotient off by one fails a later check
+        monkeypatch.setattr(oracle, "_exact_div", lambda x, d: real(x, d) + (d != 1))
+        with pytest.raises(InexactDivisionError):
+            det_bareiss(m)
+        assert "//" not in inspect.getsource(det_bareiss)
+        assert "divmod" not in inspect.getsource(det_bareiss)
 
 
 class TestPermanentRyser:
