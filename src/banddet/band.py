@@ -253,30 +253,39 @@ def bordered_matrix(n: int, k: int, a, b) -> DenseMatrix:
 
 
 def det_recurrence(n: int, k: int, a, b) -> RingElement:
-    """The l = 1 determinant by literally unrolling the recurrence
+    """The l = 1 determinant from the recurrence
 
         d_n = (b-a)^k d_{n-k} + (b-a)^(n-1) a     while 2k < n,
         d_m = (b-a)^(m-1) (b + a)                 once k >= m/2 (k < m),
 
     with k >= n (all b on and above the diagonal) handled by g_closed.
-    Independent of det_case1; used as a cross-check path."""
+    One step maps (d_m, P_m = (b-a)^(m-1)) to (s d_m + s a P_m, s P_m)
+    with s = (b-a)^k: the matrix [[s, s a], [0, s]], kept as the pair
+    (x, y) of [[x, y], [0, x]].  The j steps from the start order m to n
+    are composed by repeated squaring, (x, y)^2 = (x^2, 2 x y), in
+    O(log n) ring products.  No residue, quotient or closed form is read,
+    so this stays an independent cross-check of det_case1."""
     _shape(n, k, 1)
     a = as_element(a)
     b = as_element(b)
     if k >= n:
         return g_closed(n, a, b)
-    m = n
-    while 2 * k < m:
-        m -= k
+    j = (n - k - 1) // k  # steps of k from the start order m, k < m <= 2k
+    m = n - j * k
     c = b - a
-    step = c**k
-    power = c ** (m - 1)  # (b-a)^(m-1), carried forward as m grows by k
+    power = c ** (m - 1)
     d = power * (b + a)
-    while m < n:
-        m += k
-        power = power * step
-        d = step * d + power * a
-    return d
+    if not j:
+        return d
+    s = c**k
+    sa = s * a
+    x, y = s, sa
+    for bit in bin(j)[3:]:
+        xy = x * y
+        x, y = x * x, xy + xy
+        if bit == "1":
+            x, y = x * s, x * sa + y * s
+    return x * d + y * power
 
 
 def all_b_row_count(spec: BandSpec) -> int:

@@ -25,6 +25,7 @@ from banddet import (
     spec_from_json,
     spec_to_json,
 )
+from banddet import band
 from banddet.checks import AB_PAIRS
 
 AB_GRID = [(a, b) for a in range(-2, 3) for b in range(-2, 3) if a != b]
@@ -348,6 +349,53 @@ class TestDetRecurrence:
     def test_polynomial_ring(self):
         one, var = Poly.constant(1), Poly.variable()
         assert det_recurrence(6, 2, one, var) == det_case1(6, 2, one, var)
+
+    # a constant gap b - a = -2 and a degree-1 gap b - a = 2b - 1
+    POLY_PAIRS = [(Poly((0, 1)), Poly((-2, 1))), (Poly.constant(1), Poly((0, 2)))]
+
+    @pytest.mark.parametrize("n", range(1, 61))
+    def test_matches_case1_every_width(self, n):
+        # k up to n + 3: k >= n takes the g_closed branch, k < n the powered steps
+        for k in range(1, n + 4):
+            for a, b in AB_PAIRS + self.POLY_PAIRS:
+                assert det_recurrence(n, k, a, b) == det_case1(n, k, a, b), (n, k, a, b)
+
+    @pytest.mark.parametrize("n", [1000, 4096, 4097, 20000])
+    def test_matches_closed_form_at_large_orders(self, n):
+        # the step counts j = (n - k - 1) // k here have runs of ones, runs of
+        # zeros and both parities, so every branch of the bit walk is taken
+        for k in range(2, 6):
+            for a, b in ((1, 4), (-2, 1), (3, 2)):
+                want = det_closed(BandSpec(n, k, 1, a, b))
+                assert det_recurrence(n, k, a, b) == want, (n, k, a, b)
+
+    def test_logarithmic_ring_products(self, monkeypatch):
+        # unrolling one step at a time makes about 3n/k = 30,000 products here
+        products = []
+        real = Integer.__mul__
+
+        def counting(self, other):
+            products.append(None)
+            return real(self, other)
+
+        monkeypatch.setattr(Integer, "__mul__", counting)
+        got = det_recurrence(20000, 2, 1, 4)
+        monkeypatch.undo()
+        assert got == det_closed(BandSpec(20000, 2, 1, 1, 4))
+        assert len(products) <= 4 * (20000).bit_length() + 10
+
+    def test_independent_of_the_closed_form(self, monkeypatch):
+        shapes = [(n, k) for n in (2, 3, 7, 12, 40) for k in range(1, n)]
+        pairs = [(1, 0), (-2, 1)] + self.POLY_PAIRS
+        want = {(n, k, i): det_case1(n, k, *pairs[i]) for n, k in shapes for i in range(len(pairs))}
+
+        def refuse(*args):
+            raise AssertionError("det_recurrence read the closed form")
+
+        for name in ("_residue", "_factored", "det_case1"):
+            monkeypatch.setattr(band, name, refuse)
+        for (n, k, i), value in want.items():
+            assert det_recurrence(n, k, *pairs[i]) == value, (n, k, pairs[i])
 
 
 class TestAllBRowCount:
