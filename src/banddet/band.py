@@ -54,9 +54,7 @@ class BandSpec(_Record):
 
     def __init__(self, n: int, k: int, l: int, a, b) -> None:
         k, l = _shape(n, k, l)
-        a, b = as_element(a), as_element(b)
-        if type(a) is not type(b):
-            raise MixedRingError("a and b must come from the same ring")
+        a, b = _ring_pair(a, b)
         if a == b:
             raise ValueError("a and b must differ")
         super().__init__(n, k, l, a, b)
@@ -100,6 +98,15 @@ def _shape(n: int, k: int, l: int) -> tuple[int, int]:
     return (l, k) if l > k else (k, l)
 
 
+def _ring_pair(a, b) -> tuple[RingElement, RingElement]:
+    """The ring rule of every band routine that takes a and b: each becomes
+    a ring element by :func:`as_element`, and the two must share a ring."""
+    a, b = as_element(a), as_element(b)
+    if type(a) is not type(b):
+        raise MixedRingError("a and b must come from the same ring")
+    return a, b
+
+
 def entry(spec: BandSpec, i: int, j: int) -> RingElement:
     """Entry at 1-based (i, j): b inside the band window, a outside it."""
     _require_int("i", i)
@@ -112,18 +119,12 @@ def entry(spec: BandSpec, i: int, j: int) -> RingElement:
 
 def band_rows(n: int, k: int, l: int, inside, outside) -> tuple[tuple, ...]:
     """Rows of the order-n matrix with `inside` in the band window of
-    widths (k, l) and `outside` elsewhere; k and l may exceed n.  Every
-    band matrix in the package is built from these rows.  The order may be
-    0 (no rows); a negative order or a width below 1 raises ValueError."""
-    for name, v in zip("nkl", (n, k, l)):
-        _require_int(name, v)
-    if n < 0 or k < 1 or l < 1:
-        raise ValueError(f"need n >= 0 and k, l >= 1, got n={n} k={k} l={l}")
-    rows = []
-    for i in range(n):
-        lo, hi = _band_run(n, k, l, i)
-        rows.append((outside,) * lo + (inside,) * (hi - lo) + (outside,) * (n - hi))
-    return tuple(rows)
+    widths (k, l) and `outside` elsewhere.  n, k and l follow the shape
+    rule of :func:`_shape`, and the widths are drawn as passed, not
+    swapped.  Every band matrix in the package is built from these rows."""
+    _shape(n, k, l)
+    runs = (_band_run(n, k, l, i) for i in range(n))
+    return tuple((outside,) * lo + (inside,) * (hi - lo) + (outside,) * (n - hi) for lo, hi in runs)
 
 
 def materialize(spec: BandSpec) -> DenseMatrix:
@@ -193,7 +194,7 @@ def det_case1(n: int, k: int, a, b) -> RingElement:
     the all-b-triangle form, matching the matrix the window rule gives.
     """
     _shape(n, k, 1)
-    return _factored(n, k, 1, as_element(a), as_element(b)).expand()
+    return _factored(n, k, 1, *_ring_pair(a, b)).expand()
 
 
 def det_case2(n: int, k: int, l: int, a, b) -> RingElement:
@@ -211,7 +212,7 @@ def det_case2(n: int, k: int, l: int, a, b) -> RingElement:
     hi, lo = _shape(n, k, l)
     if lo == 1:
         raise ValueError(f"need both widths above 1, got k={k} l={l}")
-    return _factored(n, hi, lo, as_element(a), as_element(b)).expand()
+    return _factored(n, hi, lo, *_ring_pair(a, b)).expand()
 
 
 def det_factored(spec: BandSpec) -> FactoredDet:
@@ -229,8 +230,7 @@ def f_closed(n: int, a, b) -> RingElement:
     order-(n-1) l = 1 band block bordered by a last row and last column of
     all a.  The value does not depend on the block's band width."""
     _require_order(n)
-    a = as_element(a)
-    b = as_element(b)
+    a, b = _ring_pair(a, b)
     return ((b - a) ** (n - 1)) * a
 
 
@@ -238,8 +238,7 @@ def g_closed(n: int, a, b) -> RingElement:
     """(b - a)^(n-1) * b: determinant of the k = n spec (upper triangle,
     diagonal included, all b)."""
     _require_order(n)
-    a = as_element(a)
-    b = as_element(b)
+    a, b = _ring_pair(a, b)
     return ((b - a) ** (n - 1)) * b
 
 
@@ -248,7 +247,8 @@ def bordered_matrix(n: int, k: int, a, b) -> DenseMatrix:
     width-k band block with an all-a last row and column appended.  Any
     width k >= 1 is allowed, since f_closed does not depend on it."""
     _shape(n, k, 1)
-    block = band_rows(n - 1, k, 1, b, a)
+    a, b = _ring_pair(a, b)
+    block = band_rows(n - 1, k, 1, b, a) if n > 1 else ()
     return DenseMatrix(tuple(row + (a,) for row in block) + ((a,) * n,))
 
 
@@ -257,8 +257,8 @@ def det_recurrence(n: int, k: int, a, b) -> RingElement:
 
         d_n = (b-a)^k d_{n-k} + (b-a)^(n-1) a     while 2k < n,
         d_m = (b-a)^(m-1) (b + a)                 once k >= m/2 (k < m),
+        d_n = (b-a)^(n-1) b                       if k >= n (all b on and above the diagonal).
 
-    with k >= n (all b on and above the diagonal) handled by g_closed.
     One step maps (d_m, P_m = (b-a)^(m-1)) to (s d_m + s a P_m, s P_m)
     with s = (b-a)^k: the matrix [[s, s a], [0, s]], kept as the pair
     (x, y) of [[x, y], [0, x]].  The j steps from the start order m to n
@@ -266,15 +266,12 @@ def det_recurrence(n: int, k: int, a, b) -> RingElement:
     O(log n) ring products.  No residue, quotient or closed form is read,
     so this stays an independent cross-check of det_case1."""
     _shape(n, k, 1)
-    a = as_element(a)
-    b = as_element(b)
-    if k >= n:
-        return g_closed(n, a, b)
-    j = (n - k - 1) // k  # steps of k from the start order m, k < m <= 2k
+    a, b = _ring_pair(a, b)
+    j = max((n - k - 1) // k, 0)  # steps of k from the start order m: k < m <= 2k, or m = n <= k
     m = n - j * k
     c = b - a
     power = c ** (m - 1)
-    d = power * (b + a)
+    d = power * (b + a if m > k else b)
     if not j:
         return d
     s = c**k

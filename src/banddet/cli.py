@@ -37,13 +37,18 @@ def _spec_line(spec) -> str:
     return f"spec: n={spec.n} k={spec.k} l={spec.l} a={spec.a} b={spec.b}"
 
 
+def integer(text: str) -> int:
+    """Every integer flag's type: its name is what argparse's usage error prints."""
+    return _int_parse(text)
+
+
 # dense --method -> (its oracle's name in `oracle`, its size guard): the
 # oracle's own, or DENSE for Bareiss, which has none of its own
 _DENSE = {
     "laplace": ("det_laplace", "LAPLACE"),
     "bareiss": ("det_bareiss", "DENSE"),
     "ryser": ("permanent_ryser", "RYSER_INT"),
-    "expansion": ("permanent_expansion", "EXPANSION"),
+    "expansion": ("permanent_expansion", "ENUM"),
 }
 
 
@@ -189,9 +194,9 @@ def _add_spec_flags(p, methods) -> None:
     """The flags of a verb that reads one band spec: the spec itself, the
     method (the first one is the default) and the output format."""
     for flag in ("--n", "--k", "--l"):
-        p.add_argument(flag, type=_int_parse, required=True)
-    p.add_argument("--a", type=_int_parse, required=True, help="off-band value")
-    p.add_argument("--b", type=_int_parse, required=True, help="in-band value")
+        p.add_argument(flag, type=integer, required=True)
+    p.add_argument("--a", type=integer, required=True, help="off-band value")
+    p.add_argument("--b", type=integer, required=True, help="in-band value")
     p.add_argument("--method", choices=methods, default=methods[0])
     p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -214,12 +219,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="census table of a named family")
     p.add_argument("family", choices=band._FAMILY_NAMES)
-    p.add_argument("n_max", type=_int_parse)
+    p.add_argument("n_max", type=integer)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(handler=_cmd_table)
 
     p = sub.add_parser("census", help="full weak-excedance census for one order")
-    p.add_argument("--n", type=_int_parse, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(handler=_cmd_census)
 
@@ -230,10 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time the closed form against elimination")
     p.add_argument("sizes", help="comma-separated orders, e.g. 64,256,1024")
     p.add_argument("--method", choices=("bareiss", "laplace"), default="bareiss")
-    p.add_argument("--k", type=_int_parse, default=2)
-    p.add_argument("--l", type=_int_parse, default=1)
-    p.add_argument("--a", type=_int_parse, default=1)
-    p.add_argument("--b", type=_int_parse, default=2)
+    for flag, default in (("--k", 2), ("--l", 1), ("--a", 1), ("--b", 2)):
+        p.add_argument(flag, type=integer, default=default)
     p.set_defaults(handler=_cmd_bench)
 
     return parser

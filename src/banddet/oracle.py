@@ -30,9 +30,7 @@ _DEFAULT_LIMITS = {
     "LAPLACE": 12,
     "RYSER_INT": 20,
     "RYSER_POLY": 14,
-    "EXPANSION": 9,
-    "PARITY_ENUM": 10,
-    "CENSUS_ENUM": 9,
+    "ENUM": 9,  # every walk over the n! permutations of S_n
     "TRANSFER": 200,  # the rook-number census paths of permcount (polynomial time)
     # the CLI's Bareiss runs: DENSE bounds the n^2 entries built, DENSE_BITS
     # n times the bits of max(|a|, |b|), which bounds the size of the minors
@@ -246,7 +244,7 @@ def permanent_expansion(m: DenseMatrix) -> RingElement:
     The oracle for the oracle; only feasible at very small orders.
     """
     n = m.n
-    check_size("EXPANSION", n, "permanent_expansion")
+    check_size("ENUM", n, "permanent_expansion")
     rows, total, _, wrap = _raw_rows(m)
     for perm in permutations(range(n)):
         prod = rows[0][perm[0]]

@@ -346,7 +346,7 @@ def parity_counts(A: CharMatrix) -> ParityCount:
 def brute_force_parity(A: CharMatrix) -> ParityCount:
     """Census by direct enumeration of S_n; the oracle for parity_counts."""
     n = A.n
-    check_size("PARITY_ENUM", n, "brute_force_parity")
+    check_size("ENUM", n, "brute_force_parity")
     bits = A.bits
     even = odd = 0
     for perm in permutations(range(n)):
@@ -475,7 +475,7 @@ def brute_force_excedance_census(n: int) -> ExcedanceCensus:
     """Census by enumerating S_n and bucketing by weak-excedance count
     and sign; the oracle for excedance_census."""
     _require_order(n)
-    check_size("CENSUS_ENUM", n, "brute_force_excedance_census")
+    check_size("ENUM", n, "brute_force_excedance_census")
     even = [0] * n
     odd = [0] * n
     for perm in permutations(range(n)):
@@ -516,7 +516,7 @@ def weak_excedance_class(n: int, count: int) -> list[tuple[int, ...]]:
     lexicographic one-line order."""
     _require_order(n)
     _require_int("count", count)
-    check_size("CENSUS_ENUM", n, "weak_excedance_class")
+    check_size("ENUM", n, "weak_excedance_class")
     out = []
     for perm in permutations(range(1, n + 1)):
         if _weak_excedances(perm, 1) == count:

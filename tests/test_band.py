@@ -355,7 +355,7 @@ class TestDetRecurrence:
 
     @pytest.mark.parametrize("n", range(1, 61))
     def test_matches_case1_every_width(self, n):
-        # k up to n + 3: k >= n takes the g_closed branch, k < n the powered steps
+        # k up to n + 3: k >= n starts at order n with no step, k < n takes the powered steps
         for k in range(1, n + 4):
             for a, b in AB_PAIRS + self.POLY_PAIRS:
                 assert det_recurrence(n, k, a, b) == det_case1(n, k, a, b), (n, k, a, b)
@@ -385,14 +385,15 @@ class TestDetRecurrence:
         assert len(products) <= 4 * (20000).bit_length() + 10
 
     def test_independent_of_the_closed_form(self, monkeypatch):
-        shapes = [(n, k) for n in (2, 3, 7, 12, 40) for k in range(1, n)]
+        # k >= n included: the all-b start order reads no closed form either
+        shapes = [(n, k) for n in (1, 2, 3, 7, 12, 40) for k in range(1, n + 3)]
         pairs = [(1, 0), (-2, 1)] + self.POLY_PAIRS
         want = {(n, k, i): det_case1(n, k, *pairs[i]) for n, k in shapes for i in range(len(pairs))}
 
         def refuse(*args):
             raise AssertionError("det_recurrence read the closed form")
 
-        for name in ("_residue", "_factored", "det_case1"):
+        for name in ("_residue", "_factored", "det_case1", "f_closed", "g_closed"):
             monkeypatch.setattr(band, name, refuse)
         for (n, k, i), value in want.items():
             assert det_recurrence(n, k, *pairs[i]) == value, (n, k, pairs[i])

@@ -311,7 +311,7 @@ def _no_matrix(spec):
 class TestGuardsBeforeMatrix:
     @pytest.fixture(autouse=True)
     def default_limits(self, monkeypatch):
-        for name in ("LAPLACE", "RYSER_INT", "EXPANSION", "DENSE", "DENSE_BITS"):
+        for name in ("LAPLACE", "RYSER_INT", "ENUM", "DENSE", "DENSE_BITS"):
             monkeypatch.delenv(f"BANDDET_LIMIT_{name}", raising=False)
 
     @pytest.mark.parametrize(
@@ -325,7 +325,7 @@ class TestGuardsBeforeMatrix:
             (
                 ("perm", "--method", "expansion"),
                 "permanent_expansion refuses order 3000 (limit 9; "
-                "set BANDDET_LIMIT_EXPANSION to override)",
+                "set BANDDET_LIMIT_ENUM to override)",
             ),
             (
                 ("det", "--method", "laplace"),

@@ -22,9 +22,11 @@ from banddet import (
     ParityCount,
     ParityError,
     Poly,
+    SizeLimitError,
     band_rows,
     bordered_matrix,
     brute_force_excedance_census,
+    brute_force_parity,
     det_case1,
     det_case2,
     det_closed,
@@ -43,6 +45,7 @@ from banddet import (
     menage_b_det,
     menage_b_matrix,
     perm_sign,
+    permanent_expansion,
     spec_from_json,
     spec_to_json,
     weak_excedance_class,
@@ -53,6 +56,7 @@ from banddet.cli import main
 # every entry point that takes an order, called at order n
 BY_ORDER = {
     "BandSpec": lambda n: BandSpec(n, 1, 1, 1, 0),
+    "band_rows": lambda n: band_rows(n, 1, 1, 1, 0),
     "det_case1": lambda n: det_case1(n, 1, 1, 0),
     "det_case2": lambda n: det_case2(n, 2, 2, 1, 0),
     "det_recurrence": lambda n: det_recurrence(n, 1, 1, 0),
@@ -74,8 +78,33 @@ BY_ORDER = {
 }
 # a matrix's order is its row count, which is always an int
 TYPED_ORDER = [name for name in BY_ORDER if name not in ("DenseMatrix", "CharMatrix")]
-# the entry points that check their shape by band._shape, which names its field
-BY_SHAPE = ("BandSpec", "det_case1", "det_case2", "det_recurrence", "bordered_matrix")
+# the entry points that check their shape by band._shape, which names its
+# field, called at width k
+BY_SHAPE = {
+    "BandSpec": lambda k: BandSpec(3, k, 1, 1, 0),
+    "band_rows": lambda k: band_rows(3, k, 1, 1, 0),
+    "det_case1": lambda k: det_case1(3, k, 1, 0),
+    "det_case2": lambda k: det_case2(3, k, 2, 1, 0),
+    "det_recurrence": lambda k: det_recurrence(3, k, 1, 0),
+    "bordered_matrix": lambda k: bordered_matrix(3, k, 1, 0),
+}
+# every routine of the ring-pair rule, called with a and b
+BY_RING_PAIR = {
+    "BandSpec": lambda a, b: BandSpec(3, 2, 1, a, b),
+    "det_case1": lambda a, b: det_case1(3, 2, a, b),
+    "det_case2": lambda a, b: det_case2(3, 2, 2, a, b),
+    "f_closed": lambda a, b: f_closed(3, a, b),
+    "g_closed": lambda a, b: g_closed(3, a, b),
+    "det_recurrence": lambda a, b: det_recurrence(3, 2, a, b),
+    "bordered_matrix": lambda a, b: bordered_matrix(3, 2, a, b),
+}
+# every walk over S_n, called at order n
+BY_ENUMERATION = {
+    "permanent_expansion": lambda n: permanent_expansion(DenseMatrix(((1,) * n,) * n)),
+    "brute_force_parity": lambda n: brute_force_parity(CharMatrix(((1,) * n,) * n)),
+    "brute_force_excedance_census": brute_force_excedance_census,
+    "weak_excedance_class": lambda n: weak_excedance_class(n, 2),
+}
 
 
 @pytest.mark.parametrize("call", BY_ORDER.values(), ids=BY_ORDER.keys())
@@ -91,6 +120,38 @@ def test_non_int_order_is_refused_with_one_message(name, order):
     what = "n" if name in BY_SHAPE else "order n"
     with pytest.raises(TypeError, match=f"^{re.escape(f'{what} must be an int, got {order!r}')}$"):
         BY_ORDER[name](order)
+
+
+@pytest.mark.parametrize("call", BY_SHAPE.values(), ids=BY_SHAPE.keys())
+def test_width_zero_is_refused_with_one_message(call):
+    with pytest.raises(ValueError, match=r"^width k must be at least 1, got 0$"):
+        call(0)
+
+
+@pytest.mark.parametrize(
+    "a, b", [(1, Poly.variable()), (Poly.variable(), Integer(0))], ids=["int-Poly", "Poly-Integer"]
+)
+@pytest.mark.parametrize("call", BY_RING_PAIR.values(), ids=BY_RING_PAIR.keys())
+def test_mixed_rings_are_refused_with_one_message(call, a, b):
+    with pytest.raises(MixedRingError, match=r"^a and b must come from the same ring$"):
+        call(a, b)
+
+
+@pytest.mark.parametrize("name", BY_ENUMERATION)
+def test_one_guard_bounds_every_enumeration(monkeypatch, name):
+    monkeypatch.setenv("BANDDET_LIMIT_ENUM", "3")
+    BY_ENUMERATION[name](3)
+    message = f"{name} refuses order 4 (limit 3; set BANDDET_LIMIT_ENUM to override)"
+    with pytest.raises(SizeLimitError, match=f"^{re.escape(message)}$"):
+        BY_ENUMERATION[name](4)
+
+
+@pytest.mark.parametrize("name", BY_ENUMERATION)
+def test_retired_guard_names_are_not_read(monkeypatch, name):
+    monkeypatch.delenv("BANDDET_LIMIT_ENUM", raising=False)
+    for retired in ("EXPANSION", "PARITY_ENUM", "CENSUS_ENUM"):
+        monkeypatch.setenv(f"BANDDET_LIMIT_{retired}", "0")
+    BY_ENUMERATION[name](4)
 
 
 @pytest.mark.parametrize(
@@ -244,6 +305,24 @@ class TestCliIntegers:
             code = exc.code
         assert (code, capsys.readouterr().out) == (2, "")
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["det", "--n", "x", "--k", "1", "--l", "1", "--a", "0", "--b", "1"], "--n"),
+            (["perm", "--n", "3", "--k", "1", "--l", "1", "--a", "0", "--b", "x"], "--b"),
+            (["table", "menage-a", "x"], "n_max"),
+            (["census", "--n", "x"], "--n"),
+            (["bench", "4", "--k", "x"], "--k"),
+        ],
+        ids=["det", "perm", "table", "census", "bench"],
+    )
+    def test_usage_error_names_the_integer_type(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.splitlines()[-1] == f"banddet {argv[0]}: error: argument {flag}: invalid integer value: 'x'"
+
     def test_any_length_reads_back(self, capsys):
         b = "7" * 5000
         saved = sys.get_int_max_str_digits()
@@ -297,10 +376,19 @@ def test_bench_laplace_success(capsys):
     ]
 
 
-@pytest.mark.parametrize("n, k, l", [(3, 0, 0), (3, -2, 1), (3, 1, 0), (-2, 1, 1)])
+# band_rows follows the shape rule: the order rule, then the width named as passed
+BAND_ROWS_REFUSALS = {
+    (3, 0, 0): "width k must be at least 1, got 0",
+    (3, -2, 1): "width k must be at least 1, got -2",
+    (3, 1, 0): "width l must be at least 1, got 0",
+    (-2, 1, 1): "order n must be positive",
+}
+
+
+@pytest.mark.parametrize("n, k, l", BAND_ROWS_REFUSALS)
 def test_band_rows_refuses_a_width_below_one_or_a_negative_order(n, k, l):
     # unrefused, each of these would build rows that are not square, or no rows
-    with pytest.raises(ValueError, match=f"^need n >= 0 and k, l >= 1, got n={n} k={k} l={l}$"):
+    with pytest.raises(ValueError, match=f"^{BAND_ROWS_REFUSALS[n, k, l]}$"):
         band_rows(n, k, l, 1, 0)
 
 
