@@ -42,6 +42,18 @@ def integer(text: str) -> int:
     return _int_parse(text)
 
 
+def integers(text: str) -> list[int]:
+    """bench's comma-separated sizes, each item read by `integer` and a bad
+    one reported in `integer`'s words, under the usage line."""
+    sizes = []
+    for item in text.split(","):
+        try:
+            sizes.append(integer(item))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer value: {item!r}") from None
+    return sizes
+
+
 # dense --method -> (its oracle's name in `oracle`, its size guard): the
 # oracle's own, or DENSE for Bareiss, which has none of its own
 _DENSE = {
@@ -69,13 +81,17 @@ def _cmd_det(args) -> int:
     spec = band.BandSpec(args.n, args.k, args.l, args.a, args.b)
     res = band.residue(spec)
     factored = None
-    if args.method == "closed":
-        factored = band.det_factored(spec)
-        value = factored.expand()
-    elif args.method == "recurrence":
-        if spec.l != 1:
+    if args.method in ("closed", "recurrence"):
+        if args.method == "recurrence" and spec.l != 1:
             raise ValueError("--method recurrence applies only to l = 1 specs")
-        value = band.det_recurrence(spec.n, spec.k, spec.a, spec.b)
+        # the answer's size from its factored form, checked before any power
+        f = band.det_factored(spec)
+        bits = f.exponent * f.base.value.bit_length() + f.tail.value.bit_length()
+        oracle.check_size("OUTPUT_BITS", bits, f"det_{args.method}", "output bits")
+        if args.method == "closed":
+            factored, value = f, f.expand()
+        else:
+            value = band.det_recurrence(spec.n, spec.k, spec.a, spec.b)
     else:
         run, m = _dense(args.method, spec, spec.n)
         value = run(m)
@@ -168,14 +184,13 @@ def _cmd_check(args) -> int:
 def _cmd_bench(args) -> int:
     import time
 
-    sizes = [_int_parse(s) for s in args.sizes.split(",")]
     # every spec first, so a bad order or width is refused before any work
-    specs = [band.BandSpec(n, args.k, args.l, args.a, args.b) for n in sizes]
+    specs = [band.BandSpec(n, args.k, args.l, args.a, args.b) for n in args.sizes]
     # printed once, after every order agrees: a disagreement leaves stdout empty
     lines = ["n,closed_seconds,method,method_seconds,agree"]
     for spec in specs:
         # the guard checks the largest order, so it refuses before any work
-        run, m = _dense(args.method, spec, max(sizes))
+        run, m = _dense(args.method, spec, max(args.sizes))
         t0 = time.perf_counter()
         closed = band.det_closed(spec)
         t_closed = time.perf_counter() - t0
@@ -233,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("bench", help="time the closed form against elimination")
-    p.add_argument("sizes", help="comma-separated orders, e.g. 64,256,1024")
+    p.add_argument("sizes", type=integers, help="comma-separated orders, e.g. 64,256,1024")
     p.add_argument("--method", choices=("bareiss", "laplace"), default="bareiss")
     for flag, default in (("--k", 2), ("--l", 1), ("--a", 1), ("--b", 2)):
         p.add_argument(flag, type=integer, default=default)

@@ -16,7 +16,7 @@ from functools import reduce
 from itertools import permutations
 
 from .errors import InexactDivisionError, MixedRingError, SizeLimitError, _Record, _require_square
-from .rings import Integer, RingElement, _int_parse, as_element
+from .rings import Integer, Poly, RingElement, _int_parse, _poly, as_element
 
 __all__ = [
     "DenseMatrix",
@@ -37,6 +37,9 @@ _DEFAULT_LIMITS = {
     # elimination builds (the slowest admitted run takes about 2 s)
     "DENSE": 200,
     "DENSE_BITS": 50_000,
+    # the CLI's closed form and recurrence: the answer's estimated bits,
+    # (n-1) * bits(b-a) + bits(tail) (the slowest admitted run takes about 2 s)
+    "OUTPUT_BITS": 5_000_000,
 }
 
 
@@ -101,14 +104,42 @@ class DenseMatrix(_Record):
 
 
 def _raw_rows(m: DenseMatrix):
-    """The rows in the ring an oracle computes in, that ring's zero and
-    one, and the function that wraps a result back into a ring element.
-    The integer ring is unwrapped to plain ints (fast path); polynomials
-    are used as-is since they overload the arithmetic operators."""
+    """The rows as plain ints, and the function that reads an int result
+    back into the matrix's ring: the one place an oracle enters or leaves
+    a ring.  Integer is unwrapped.  A Poly entry is evaluated at x = 2^w
+    (Kronecker substitution), a ring homomorphism Z[x] -> Z, so a sum of
+    products of entries evaluates to the int the oracle computes.  Every
+    coefficient of the determinant or permanent is at most
+    bound = prod_i sum_j |a_ij|_1 in size, since |det|_1 <= per(|A|_1)
+    <= the product of the row sums; with w = bound.bit_length() + 1 each
+    coefficient lies strictly inside (-2^(w-1), 2^(w-1)), so the result
+    reads back exactly as signed base-2^w digits."""
     if m.is_integer():
-        return [[e.value for e in row] for row in m.rows], 0, 1, Integer
-    one = m.rows[0][0].ring_one()
-    return [list(row) for row in m.rows], one.ring_zero(), one, lambda x: x
+        return [[e.value for e in row] for row in m.rows], Integer
+    bound = 1
+    for row in m.rows:
+        bound *= sum(abs(c) for e in row for c in e.coeffs)
+    w = bound.bit_length() + 1
+    x = 1 << w
+    return [[e.evaluate(x) for e in row] for row in m.rows], lambda r: _unkronecker(r, w)
+
+
+def _unkronecker(r: int, w: int) -> Poly:
+    """The Poly whose value at x = 2^w is r, each coefficient inside
+    (-2^(w-1), 2^(w-1)): the low w bits are a digit, read as negative
+    (borrowing one from the rest) from 2^(w-1) up.  A nonzero digit at
+    degree d makes |r| > 2^(w*d - 1), so bit_length // w + 1 digits take
+    all of r."""
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    cs = []
+    for _ in range(r.bit_length() // w + 1):
+        c = r & mask
+        r >>= w
+        if c >= half:
+            c -= 1 << w
+            r += 1
+        cs.append(c)
+    return _poly(tuple(cs))
 
 
 def det_laplace(m: DenseMatrix) -> RingElement:
@@ -119,22 +150,23 @@ def det_laplace(m: DenseMatrix) -> RingElement:
     order, so each minor is complete when its mask comes up; a nonzero one
     is expanded into every mask that adds a column where the row above is
     nonzero, with the sign of that column's place among the mask's.  A
-    minor no term reaches stays ``None`` and costs no ring operation, so
-    products are made only for a nonzero entry times a nonzero minor: at
-    most n * 2^(n-1), and far fewer on a band.  Still exponential, hence
-    the guard.
+    minor no term reaches stays ``None`` and costs nothing, so products
+    are made only for a nonzero entry times a nonzero minor: at most
+    n * 2^(n-1), and far fewer on a band.  All of them are int products,
+    whatever the matrix's ring (see ``_raw_rows``).  Still exponential,
+    hence the guard.
     """
     n = m.n
     check_size("LAPLACE", n, "det_laplace")
-    rows, zero, one, wrap = _raw_rows(m)
+    rows, wrap = _raw_rows(m)
     # each row's nonzero entries, with their columns as bits
-    support = [[(1 << j, e) for j, e in enumerate(row) if e != zero] for row in rows]
+    support = [[(1 << j, e) for j, e in enumerate(row) if e] for row in rows]
     full = (1 << n) - 1
     minors = [None] * (full + 1)
-    minors[0] = one
+    minors[0] = 1
     for mask in range(full):
         minor = minors[mask]
-        if minor is None or minor == zero:
+        if not minor:
             continue
         for bit, e in support[n - 1 - mask.bit_count()]:
             if mask & bit:
@@ -147,8 +179,7 @@ def det_laplace(m: DenseMatrix) -> RingElement:
                 minors[wider] = -term if acc is None else acc - term
             else:
                 minors[wider] = term if acc is None else acc + term
-    det = minors[full]
-    return wrap(zero if det is None else det)
+    return wrap(minors[full] or 0)
 
 
 def _exact_div(x: int, d: int) -> int:
@@ -178,7 +209,7 @@ def det_bareiss(m: DenseMatrix) -> Integer:
     if not m.is_integer():
         raise TypeError("det_bareiss requires the integer ring")
     n = m.n
-    a, _, _, wrap = _raw_rows(m)
+    a, wrap = _raw_rows(m)
     # row_i - row_(i+1), then col_j - col_(j+1), against a zero row and column past the edge
     a = [[*map(operator.sub, r, s), 0] for r, s in zip(a, a[1:] + [[0] * n])]
     a = [[*map(operator.sub, r, r[1:])] for r in a]
@@ -220,14 +251,14 @@ def permanent_ryser(m: DenseMatrix) -> RingElement:
 
     The subsets run in Gray-code order: each step adds or subtracts the
     one column whose code bit flips on or off, then takes one n-term
-    product of the row sums.  Ring-agnostic: needs only +, - and *.
+    product of the row sums, over the ints of ``_raw_rows``.
     """
     n = m.n
     check_size("RYSER_INT" if m.is_integer() else "RYSER_POLY", n, "permanent_ryser")
-    rows, zero, _, wrap = _raw_rows(m)
+    rows, wrap = _raw_rows(m)
     cols = list(zip(*rows))
-    sums = [zero] * n
-    total = zero
+    sums = [0] * n
+    total = 0
     for g in range(1, 1 << n):
         low = g & -g
         gray = g ^ (g >> 1)
@@ -245,7 +276,8 @@ def permanent_expansion(m: DenseMatrix) -> RingElement:
     """
     n = m.n
     check_size("ENUM", n, "permanent_expansion")
-    rows, total, _, wrap = _raw_rows(m)
+    rows, wrap = _raw_rows(m)
+    total = 0
     for perm in permutations(range(n)):
         prod = rows[0][perm[0]]
         for i in range(1, n):

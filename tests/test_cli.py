@@ -286,9 +286,12 @@ class TestBench:
 
     @pytest.mark.parametrize("sizes", ["4,,9", "4,", ",4"])
     def test_empty_size_field_is_a_usage_error(self, capsys, sizes):
-        code, out, err = run(capsys, "bench", sizes)
-        assert (code, out) == (2, "")
-        assert err == "error: not a canonical decimal integer: ''\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", sizes])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.startswith("usage: banddet bench")
+        assert err.splitlines()[-1] == "banddet bench: error: argument sizes: invalid integer value: ''"
 
     def test_disagreement_prints_no_rows(self, capsys, monkeypatch):
         real = band.det_closed
@@ -386,6 +389,54 @@ class TestGuardsBeforeMatrix:
             "error: det_laplace refuses order 20 (limit 12; "
             "set BANDDET_LIMIT_LAPLACE to override)\n"
         )
+
+
+def _no_power(*args):
+    raise AssertionError("a refused run must not raise any power")
+
+
+class TestOutputBits:
+    """det --method closed and recurrence check the answer's estimated bits,
+    (n-1) * bits(b-a) + bits(tail), before any power is taken."""
+
+    @pytest.fixture(autouse=True)
+    def default_limit(self, monkeypatch):
+        monkeypatch.delenv("BANDDET_LIMIT_OUTPUT_BITS", raising=False)
+
+    @pytest.mark.parametrize("method", ["closed", "recurrence"])
+    def test_refuses_before_any_power(self, capsys, monkeypatch, method):
+        monkeypatch.setattr(rings.Integer, "__pow__", _no_power)
+        monkeypatch.setattr(band, "det_recurrence", _no_power)
+        # 99,999,999 * bits(2) + bits(3 + 49,999,999 * 1) = 199,999,998 + 26
+        spec = ("--n", "100000000", "--k", "2", "--l", "1", "--a", "1", "--b", "3")
+        code, out, err = run(capsys, "det", *spec, "--method", method)
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: det_{method} refuses output bits 200000024 (limit 5000000; "
+            "set BANDDET_LIMIT_OUTPUT_BITS to override)\n"
+        )
+
+    @pytest.mark.parametrize("method", ["closed", "recurrence"])
+    def test_limit_is_inclusive(self, capsys, monkeypatch, method):
+        # 10 * bits(2) + bits(3 + 5 * 1) = 24
+        spec = ("--n", "11", "--k", "2", "--l", "1", "--a", "1", "--b", "3", "--method", method)
+        monkeypatch.setenv("BANDDET_LIMIT_OUTPUT_BITS", "24")
+        assert run(capsys, "det", *spec)[0] == 0
+        monkeypatch.setenv("BANDDET_LIMIT_OUTPUT_BITS", "23")
+        assert run(capsys, "det", *spec)[:2] == (3, "")
+
+    @pytest.mark.parametrize("method", ["closed", "recurrence"])
+    @pytest.mark.parametrize("a, b", [(-2, 1), (1, -2), (1, 4)])
+    def test_admits_the_largest_cli_workload_det(self, capsys, method, a, b):
+        spec = ("--n", "30000", "--k", "2", "--l", "1", "--a", str(a), "--b", str(b))
+        code, out, _ = run(capsys, "det", *spec, "--method", method)
+        assert code == 0
+        assert out.splitlines()[-1] == f"det: {det_closed(BandSpec(30000, 2, 1, a, b))}"
+
+    def test_the_library_is_not_guarded(self, monkeypatch):
+        monkeypatch.setenv("BANDDET_LIMIT_OUTPUT_BITS", "0")
+        assert det_closed(BandSpec(11, 2, 1, 1, 3)) == rings.Integer(2**10 * 8)
+        assert band.det_recurrence(11, 2, 1, 3) == rings.Integer(2**10 * 8)
 
 
 # exact stdout and exit code of successful runs, pinned byte for byte

@@ -146,11 +146,94 @@ class TestLaplaceSweep:
     def test_multiplies_only_nonzero_entries_by_nonzero_minors(self, monkeypatch, spec, most):
         m, want = materialize(spec), det_closed(spec)
         factors = []
-        real = Poly.__mul__
-        monkeypatch.setattr(Poly, "__mul__", lambda x, y: factors.append((x, y)) or real(x, y))
+
+        class Counted(int):
+            """An entry of the oracle's int rows that records each product it makes."""
+
+            def __mul__(self, other):
+                factors.append((int(self), other))
+                return int(self) * other
+
+        real = oracle._raw_rows
+
+        def counted_rows(m):
+            rows, wrap = real(m)
+            return [[Counted(e) for e in row] for row in rows], wrap
+
+        monkeypatch.setattr(oracle, "_raw_rows", counted_rows)
         assert det_laplace(m) == want
-        assert len(factors) <= most
-        assert not any(x.is_zero() or y.is_zero() for x, y in factors)
+        assert 0 < len(factors) <= most
+        assert not any(x == 0 or y == 0 for x, y in factors)
+
+
+def poly_laplace(m):
+    """det m by the bottom-up minor DP of det_laplace, run in the matrix's
+    own ring: the reference for the substitution into the ints."""
+    n, zero = m.n, m.rows[0][0].ring_zero()
+    minors = {0: zero.ring_one()}
+    for mask in range(1 << n):
+        minor = minors.get(mask)
+        if minor is None or minor.is_zero():
+            continue
+        for j, e in enumerate(m.rows[n - 1 - mask.bit_count()]):
+            bit = 1 << j
+            if mask & bit or e.is_zero():
+                continue
+            term = e * minor
+            if (mask & (bit - 1)).bit_count() & 1:
+                term = -term
+            minors[mask | bit] = minors.get(mask | bit, zero) + term
+    return minors.get((1 << n) - 1, zero)
+
+
+# the verify workload's Laplace shapes (k, l)
+VERIFY_SHAPES = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 2), (5, 3)]
+
+
+class TestKroneckerSubstitution:
+    """Poly matrices reach the oracles as ints, evaluated at x = 2^w with
+    w one bit past the row-sum bound, and come back as signed digits."""
+
+    def test_verify_shapes_match_a_poly_ring_laplace(self):
+        for n in range(1, 11):
+            for k, l in VERIFY_SHAPES:
+                for a, b in POLY_PAIRS:
+                    m = materialize(BandSpec(n, k, l, a, b))
+                    assert det_laplace(m) == poly_laplace(m), (n, k, l, a, b)
+
+    @pytest.mark.parametrize("c", [3, -3])
+    @pytest.mark.parametrize("power", [0, 1])
+    def test_a_coefficient_equal_to_the_bound(self, c, power):
+        # c on the diagonal, zero elsewhere: one term per row and per
+        # permutation, so the bound c^n is attained
+        for n in range(1, 10):
+            m = DenseMatrix([[Poly((0,) * power + (c,)) if i == j else Poly() for j in range(n)] for i in range(n)])
+            want = Poly((0,) * (power * n) + (c**n,))
+            assert det_laplace(m) == permanent_ryser(m) == permanent_expansion(m) == want, n
+
+    def test_all_zero_and_a_zero_row(self):
+        rng = random.Random("zero")
+        for n in range(1, 8):
+            zero = DenseMatrix([[Poly()] * n for _ in range(n)])
+            rows = [[Poly((rng.randint(-3, 3), rng.randint(-3, 3))) for _ in range(n)] for _ in range(n)]
+            rows[rng.randrange(n)] = [Poly()] * n
+            for m in (zero, DenseMatrix(rows)):
+                for run in (det_laplace, permanent_ryser, permanent_expansion):
+                    assert run(m) == Poly(), (run.__name__, m)
+
+    def test_no_poly_arithmetic_inside_the_oracles(self, monkeypatch):
+        spec = BandSpec(7, 3, 2, Poly((1, -1)), Poly((0, 1)))
+        m = materialize(spec)
+        want = {run: run(m) for run in (det_laplace, permanent_ryser, permanent_expansion)}
+        assert want[det_laplace] == det_closed(spec)
+
+        def refuse(*args):
+            raise AssertionError("Poly arithmetic inside an oracle")
+
+        for op in ("__add__", "__sub__", "__mul__", "__rmul__", "__neg__"):
+            monkeypatch.setattr(Poly, op, refuse)
+        for run, value in want.items():
+            assert run(m) == value, run.__name__
 
 
 class TestDetBareiss:
@@ -319,18 +402,14 @@ class TestPermanentExpansion:
 
     def test_agrees_with_ryser_on_poly(self):
         rng = random.Random(5)
-        for _ in range(10):
-            n = rng.randint(1, 4)
-            m = DenseMatrix(
-                tuple(
-                    tuple(
-                        Poly((rng.randint(-2, 2), rng.randint(0, 1)))
-                        for _ in range(n)
-                    )
-                    for _ in range(n)
-                )
-            )
-            assert permanent_expansion(m) == permanent_ryser(m)
+        for n in range(1, 8):
+            for _ in range(4):
+                rows = [[Poly(tuple(rng.randint(-3, 3) for _ in range(3))) for _ in range(n)] for _ in range(n)]
+                m = DenseMatrix(rows)
+                assert permanent_expansion(m) == permanent_ryser(m), m
+            for k, l in VERIFY_SHAPES:
+                m = materialize(BandSpec(n, k, l, *rng.choice(POLY_PAIRS)))
+                assert permanent_expansion(m) == permanent_ryser(m), (n, k, l)
 
     def test_agrees_with_ryser_on_the_named_families(self):
         from banddet import excedance_matrix, menage_a_matrix, menage_b_matrix

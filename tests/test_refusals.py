@@ -313,14 +313,16 @@ class TestCliIntegers:
             (["table", "menage-a", "x"], "n_max"),
             (["census", "--n", "x"], "--n"),
             (["bench", "4", "--k", "x"], "--k"),
+            (["bench", "4,x"], "sizes"),
         ],
-        ids=["det", "perm", "table", "census", "bench"],
+        ids=["det", "perm", "table", "census", "bench", "bench-sizes"],
     )
     def test_usage_error_names_the_integer_type(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         out, err = capsys.readouterr()
         assert (exc.value.code, out) == (2, "")
+        assert err.startswith(f"usage: banddet {argv[0]}")
         assert err.splitlines()[-1] == f"banddet {argv[0]}: error: argument {flag}: invalid integer value: 'x'"
 
     def test_any_length_reads_back(self, capsys):
