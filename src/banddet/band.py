@@ -121,10 +121,14 @@ def band_rows(n: int, k: int, l: int, inside, outside) -> tuple[tuple, ...]:
     """Rows of the order-n matrix with `inside` in the band window of
     widths (k, l) and `outside` elsewhere.  n, k and l follow the shape
     rule of :func:`_shape`, and the widths are drawn as passed, not
-    swapped.  Every band matrix in the package is built from these rows."""
+    swapped.  Every band matrix in the package is built from these rows.
+    The matrix is Toeplitz, so row i is the n-wide window of one strip
+    that starts n - 1 - i entries in: the middle row of order 2n - 1,
+    whose run :func:`_band_run` clips, so huge widths cost nothing."""
     _shape(n, k, l)
-    runs = (_band_run(n, k, l, i) for i in range(n))
-    return tuple((outside,) * lo + (inside,) * (hi - lo) + (outside,) * (n - hi) for lo, hi in runs)
+    lo, hi = _band_run(2 * n - 1, k, l, n - 1)
+    strip = (outside,) * lo + (inside,) * (hi - lo) + (outside,) * (2 * n - 1 - hi)
+    return tuple(strip[i : i + n] for i in range(n - 1, -1, -1))
 
 
 def materialize(spec: BandSpec) -> DenseMatrix:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 import os
 from functools import reduce
-from itertools import permutations
+from itertools import accumulate, compress, count, groupby, permutations, zip_longest
 
 from .errors import InexactDivisionError, MixedRingError, SizeLimitError, _Record, _require_square
 from .rings import Integer, Poly, RingElement, _int_parse, _poly, as_element
@@ -29,7 +29,9 @@ __all__ = [
 _DEFAULT_LIMITS = {
     "LAPLACE": 12,
     "RYSER_INT": 20,
-    "RYSER_POLY": 14,
+    # Ryser over Poly runs over ints (see _raw_rows): at 18 a band of linear
+    # entries takes about 1 s and a full matrix of quadratic ones about 3 s
+    "RYSER_POLY": 18,
     "ENUM": 9,  # every walk over the n! permutations of S_n
     "TRANSFER": 200,  # the rook-number census paths of permcount (polynomial time)
     # the CLI's Bareiss runs: DENSE bounds the n^2 entries built, DENSE_BITS
@@ -195,52 +197,78 @@ def det_bareiss(m: DenseMatrix) -> Integer:
     only the work the matrix's nonzeros need.
 
     Row i first becomes row_i - row_(i+1) and column j col_j - col_(j+1),
-    for i, j < n-1.  Both are unimodular, so the determinant stays, and a
-    matrix constant along its diagonals except at a few value changes
-    (every band matrix of the package) keeps a handful of nonzeros a row.
-    Step k then updates only the rows with a nonzero in column k, over the
-    union of their span and the pivot row's.  A row that skips step t is
-    only scaled by p_t / p_(t-1) (Sylvester's identity, Bareiss 1968), and
-    that product telescopes: a row last updated at step s - 1 is brought up
-    to step k by multiplying by p_(k-1) and dividing by p_(s-1), so its
-    next update divides by p_(s-1) in place of p_(k-1).  Every division is
+    for i, j < n-1.  Both are unimodular, so the determinant stays.  The
+    differenced entry at (i, j) is nonzero only where row i or row i+1
+    changes value between columns j and j+1, so it is evaluated only at
+    those run boundaries, and a matrix constant along its diagonals except
+    at a few value changes (every band matrix of the package) keeps a
+    handful of nonzeros a row.  Each row is kept from its first nonzero
+    column on and filed in that column's bucket; step k updates exactly
+    bucket k, and an updated row moves to the bucket of its new first
+    nonzero.  The pivot is row k when it is in bucket k, otherwise the
+    candidate with the shortest span; rows are never swapped, and the sign
+    is the parity of the pivot order.  A row that skips step t is only
+    scaled by p_t / p_(t-1) (Sylvester's identity, Bareiss 1968), and that
+    product telescopes: a row last updated at step s - 1 is brought up to
+    step k by multiplying by p_(k-1) and dividing by p_(s-1), so its next
+    update divides by p_(s-1) in place of p_(k-1).  Every division is
     exact by construction; inexactness is checked and reported as a bug.
     """
     if not m.is_integer():
         raise TypeError("det_bareiss requires the integer ring")
     n = m.n
     a, wrap = _raw_rows(m)
-    # row_i - row_(i+1), then col_j - col_(j+1), against a zero row and column past the edge
-    a = [[*map(operator.sub, r, s), 0] for r, s in zip(a, a[1:] + [[0] * n])]
-    a = [[*map(operator.sub, r, r[1:])] for r in a]
-    # one past each row's last nonzero column, and its next update's divisor
-    end = [next((j + 1 for j in range(n - 1, -1, -1) if row[j]), 0) for row in a]
-    div = [1] * n
-    prev = sign = 1
+    # a zero column and a zero row past the edge
+    for row in a:
+        row.append(0)
+    a.append([0] * (n + 1))
+    # the last column of every run but the final one: each j with a_ij != a_i(j+1)
+    runs = (map(len, map(list, map(operator.itemgetter(1), groupby(row)))) for row in a)
+    cuts = [[*accumulate(lengths, initial=-1)][1:-1] for lengths in runs]
+    rows = [None] * n  # row i from its first nonzero column on
+    buckets = [[] for _ in range(n)]  # the rows whose first nonzero is column k
+    for i in range(n):
+        # both rows constant across j and j+1 leave a 0; a row of zeros is filed nowhere
+        r, s = a[i], a[i + 1]
+        diff = [(j, v) for j in sorted({*cuts[i], *cuts[i + 1]}) if (v := r[j] - s[j] - r[j + 1] + s[j + 1])]
+        if diff:
+            lo = diff[0][0]
+            row = rows[i] = [0] * (diff[-1][0] + 1 - lo)
+            for j, v in diff:
+                row[j - lo] = v
+            buckets[lo].append(i)
+    div = [1] * n  # each row's next update's divisor
+    order = []  # the pivot row of each step
+    prev = 1
     for k in range(n):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i], end[k], end[i], div[k], div[i] = a[i], a[k], end[i], end[k], div[i], div[k]
-                    sign = -sign
-                    break
-            else:
-                return wrap(0)
-        rowk, stop, d = a[k], end[k], div[k]
+        bucket = buckets[k]
+        if not bucket:
+            return wrap(0)
+        # row k first: the shortest span alone builds wider minors on dense bands
+        p = k if k in bucket else min(bucket, key=lambda i: len(rows[i]))
+        order.append(p)
+        rowp, d = rows[p], div[p]
         if d != prev:
-            rowk[k:stop] = [_exact_div(prev * x, d) for x in rowk[k:stop]]
-        pk, tail = rowk[k], rowk[k + 1 :]
-        for i in range(k + 1, n):
-            rowi = a[i]
-            f = rowi[k]
-            if f:
-                top = end[i]
-                if top < stop:
-                    top = end[i] = stop
-                d, div[i] = div[i], pk
-                rowi[k + 1 : top] = [_exact_div(pk * x - f * y, d) for x, y in zip(rowi[k + 1 : top], tail)]
+            rowp = [_exact_div(prev * x, d) for x in rowp]
+        pk, tail = rowp[0], rowp[1:]
+        for i in bucket:
+            if i != p:
+                rowi = rows[i]
+                f, d, div[i] = rowi[0], div[i], pk
+                row = [_exact_div(pk * x - f * y, d) for x, y in zip_longest(rowi[1:], tail, fillvalue=0)]
+                lo = next(compress(count(), row), None)  # None: a row of zeros, filed nowhere
+                if lo is not None:
+                    del row[:lo]
+                    rows[i] = row
+                    buckets[k + 1 + lo].append(i)
         prev = pk
-    return wrap(sign * prev)
+    # the pivot order's parity: n minus its number of cycles
+    cycles = 0
+    for i in range(n):
+        cycles += order[i] >= 0
+        while order[i] >= 0:  # walk the new cycle back to i, marking it
+            order[i], i = -1, order[i]
+    return wrap(-prev if (n - cycles) & 1 else prev)
 
 
 def permanent_ryser(m: DenseMatrix) -> RingElement:

@@ -316,6 +316,29 @@ class TestBandRows:
         )
 
 
+def three_run_rows(n, k, l, inside, outside):
+    """The rows as three runs each, straight from the window -l < j-i < k:
+    the construction band_rows is checked against."""
+    rows = []
+    for i in range(n):
+        lo, hi = max(i - l + 1, 0), min(i + k, n)
+        rows.append((outside,) * lo + (inside,) * (hi - lo) + (outside,) * (n - hi))
+    return tuple(rows)
+
+
+class TestBandRowsWindows:
+    def test_matches_three_runs(self):
+        # k and l each run over 1..35, so both width orders are met
+        for n in range(1, 31):
+            for k in range(1, 36):
+                for l in range(1, 36):
+                    assert band_rows(n, k, l, "b", "a") == three_run_rows(n, k, l, "b", "a"), (n, k, l)
+
+    def test_huge_widths_build_no_huge_strip(self):
+        m = materialize(BandSpec(5, 10**9, 10**9, 1, 0))
+        assert m.rows == ((Integer(0),) * 5,) * 5
+
+
 class TestGClosed:
     def test_order_one_is_b(self):
         assert g_closed(1, 5, 2) == Integer(2)

@@ -1,4 +1,5 @@
 import inspect
+import operator
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -324,7 +325,8 @@ class TestSparseBareiss:
 
     def test_every_division_is_checked(self, monkeypatch):
         # k, l >= 2: the differenced diagonal is 2b - b - b = 0, so step 0
-        # swaps rows, and a row first reached at step k > 0 divides by 1
+        # pivots on a row other than row 0, and a row first reached at
+        # step k > 0 divides by 1
         spec = BandSpec(40, 3, 2, -1, 2)
         m, want = materialize(spec), det_closed(spec)
         real = oracle._exact_div
@@ -347,6 +349,70 @@ class TestSparseBareiss:
             det_bareiss(m)
         assert "//" not in inspect.getsource(det_bareiss)
         assert "divmod" not in inspect.getsource(det_bareiss)
+
+
+class TestBareissBookkeeping:
+    """Matrices that stress the run boundaries, the column buckets and the
+    pivot order of the elimination, each against the rational one."""
+
+    def test_signed_permutation_times_diagonal(self):
+        # the pivot order is the permutation's, so it carries the sign
+        rng = random.Random("signed permutations")
+        for n in [*range(1, 13), 16, 23, 31, 40]:
+            for _ in range(4):
+                perm = rng.sample(range(n), n)
+                rows = [[0] * n for _ in range(n)]
+                for i, j in enumerate(perm):
+                    rows[i][j] = rng.choice((-1, 1)) * rng.randint(1, 9)
+                m = int_matrix(rows)
+                assert det_bareiss(m) == fraction_det(m) != Integer(0), rows
+
+    def test_singular(self):
+        rng = random.Random("singular")
+        for n in [*range(3, 13), 20, 33]:
+            base = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            i, j = rng.sample(range(n), 2)
+            repeated = [row[:] for row in base]
+            repeated[i] = repeated[j][:]
+            zero_row = [row[:] for row in base]
+            zero_row[i] = [0] * n
+            zero_col = [row[:i] + [0] + row[i + 1 :] for row in base]
+            # rank n - 2: n - 2 rows, and two combinations of them put among them
+            low_rank = base[: n - 2]
+            for _ in range(2):
+                cs = [rng.randint(-2, 2) for _ in range(n - 2)]
+                combination = [sum(map(operator.mul, cs, col)) for col in zip(*base[: n - 2])]
+                low_rank.insert(rng.randint(0, len(low_rank)), combination)
+            for rows in (repeated, zero_row, zero_col, low_rank):
+                m = int_matrix(rows)
+                assert det_bareiss(m) == fraction_det(m) == Integer(0), rows
+
+    def test_last_entry_nonzero_or_zero(self):
+        # rows (0,)*s + (v,)*(t-s) + (0,)*(n-t): a run ends at the last
+        # column exactly when t = n, where only the zero column past the
+        # edge tells it apart
+        rng = random.Random("sentinel")
+        for n in [*range(1, 16), 24, 40]:
+            for _ in range(6):
+                rows = []
+                for _ in range(n):
+                    s = rng.randint(0, n - 1)
+                    t = n if rng.random() < 0.6 else rng.randint(s + 1, n)
+                    rows.append([0] * s + [rng.choice((-3, -1, 1, 2, 5))] * (t - s) + [0] * (n - t))
+                m = int_matrix(rows)
+                assert det_bareiss(m) == fraction_det(m), rows
+        # all-constant rows: each differences to its last column alone
+        m = int_matrix([[0] * i + [i + 1] * (4 - i) for i in range(4)])
+        assert det_bareiss(m) == Integer(24)
+
+    def test_equal_big_entries_are_distinct_objects(self):
+        big = 10**40 + 7
+        for n, k, l in ((9, 3, 2), (17, 4, 1), (25, 2, 2)):
+            spec = BandSpec(n, k, l, -big, 2 * big)
+            rows = [[int(str(e.value)) for e in row] for row in materialize(spec).rows]
+            m = int_matrix(rows)
+            assert m[0][0].value is not m[1][1].value
+            assert det_bareiss(m) == fraction_det(m) == det_closed(spec), spec
 
 
 class TestPermanentRyser:
