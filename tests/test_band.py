@@ -305,17 +305,6 @@ class TestBorderedMatrix:
             f_closed(3, 1, Poly.variable())
 
 
-class TestBandRows:
-    def test_window_wider_than_the_matrix_saturates(self):
-        assert band_rows(1, 2, 1, "b", "a") == (("b",),)
-        assert band_rows(2, 5, 5, "b", "a") == (("b", "b"), ("b", "b"))
-        assert band_rows(3, 4, 1, "b", "a") == (
-            ("b", "b", "b"),
-            ("a", "b", "b"),
-            ("a", "a", "b"),
-        )
-
-
 def three_run_rows(n, k, l, inside, outside):
     """The rows as three runs each, straight from the window -l < j-i < k:
     the construction band_rows is checked against."""
@@ -326,7 +315,16 @@ def three_run_rows(n, k, l, inside, outside):
     return tuple(rows)
 
 
-class TestBandRowsWindows:
+class TestBandRows:
+    def test_window_wider_than_the_matrix_saturates(self):
+        assert band_rows(1, 2, 1, "b", "a") == (("b",),)
+        assert band_rows(2, 5, 5, "b", "a") == (("b", "b"), ("b", "b"))
+        assert band_rows(3, 4, 1, "b", "a") == (
+            ("b", "b", "b"),
+            ("a", "b", "b"),
+            ("a", "a", "b"),
+        )
+
     def test_matches_three_runs(self):
         # k and l each run over 1..35, so both width orders are met
         for n in range(1, 31):
