@@ -11,7 +11,7 @@ cross-checking the l = 1 case.
 from __future__ import annotations
 
 from .errors import MixedRingError, _Record, _require_int, _require_order
-from .oracle import DenseMatrix, _exact_div
+from .oracle import DenseMatrix, _dense, _exact_div
 from .rings import RingElement, as_element, element_from_json, element_to_json
 
 __all__ = [
@@ -121,19 +121,27 @@ def band_rows(n: int, k: int, l: int, inside, outside) -> tuple[tuple, ...]:
     """Rows of the order-n matrix with `inside` in the band window of
     widths (k, l) and `outside` elsewhere.  n, k and l follow the shape
     rule of :func:`_shape`, and the widths are drawn as passed, not
-    swapped.  Every band matrix in the package is built from these rows.
-    The matrix is Toeplitz, so row i is the n-wide window of one strip
-    that starts n - 1 - i entries in: the middle row of order 2n - 1,
-    whose run :func:`_band_run` clips, so huge widths cost nothing."""
+    swapped.  Every band matrix in the package is built from these rows."""
     _shape(n, k, l)
+    return _band_rows(n, k, l, inside, outside)
+
+
+def _band_rows(n: int, k: int, l: int, inside, outside) -> tuple[tuple, ...]:
+    """The rows of :func:`band_rows` for a caller that has applied the
+    shape rule.  The matrix is Toeplitz, so row i is the n-wide window of
+    one strip that starts n - 1 - i entries in: the middle row of order
+    2n - 1, whose run :func:`_band_run` clips, so huge widths cost
+    nothing.  Each entry is `inside` or `outside` itself."""
     lo, hi = _band_run(2 * n - 1, k, l, n - 1)
     strip = (outside,) * lo + (inside,) * (hi - lo) + (outside,) * (2 * n - 1 - hi)
     return tuple(strip[i : i + n] for i in range(n - 1, -1, -1))
 
 
 def materialize(spec: BandSpec) -> DenseMatrix:
-    """The full n x n matrix; Toeplitz and persymmetric by construction."""
-    return DenseMatrix(band_rows(spec.n, spec.k, spec.l, spec.b, spec.a))
+    """The full n x n matrix; Toeplitz and persymmetric by construction.
+    Its entries are spec.a and spec.b themselves, which the spec has
+    already put in one ring, so the matrix is built unchecked."""
+    return _dense(_band_rows(spec.n, spec.k, spec.l, spec.b, spec.a))
 
 
 def residue(spec: BandSpec) -> BandResidue:
@@ -252,8 +260,8 @@ def bordered_matrix(n: int, k: int, a, b) -> DenseMatrix:
     width k >= 1 is allowed, since f_closed does not depend on it."""
     _shape(n, k, 1)
     a, b = _ring_pair(a, b)
-    block = band_rows(n - 1, k, 1, b, a) if n > 1 else ()
-    return DenseMatrix(tuple(row + (a,) for row in block) + ((a,) * n,))
+    block = _band_rows(n - 1, k, 1, b, a) if n > 1 else ()
+    return _dense(tuple(row + (a,) for row in block) + ((a,) * n,))
 
 
 def det_recurrence(n: int, k: int, a, b) -> RingElement:

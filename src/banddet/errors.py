@@ -82,6 +82,14 @@ class _Record:
         for set_field, value in zip(self._setters, values, strict=True):
             set_field(self, value)
 
+    @classmethod
+    def _unchecked(cls, *values):
+        """The value of fields that already meet the class's checks, built
+        without running them: for a caller that holds those invariants."""
+        self = object.__new__(cls)
+        _Record.__init__(self, *values)
+        return self
+
     def __setattr__(self, name: str, *value) -> None:
         raise AttributeError(f"cannot set or delete field {name!r} of an immutable value")
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 import os
 from functools import reduce
-from itertools import accumulate, compress, count, groupby, permutations, zip_longest
+from itertools import chain, compress, count, permutations, zip_longest
 
 from .errors import InexactDivisionError, MixedRingError, SizeLimitError, _Record, _require_square
 from .rings import Integer, Poly, RingElement, _int_parse, _poly, as_element
@@ -70,29 +70,30 @@ def check_size(name: str, n: int, what: str, measure: str = "order") -> None:
         )
 
 
-def _one_ring(rows) -> bool:
-    """Whether every entry is a ring element of the first entry's type."""
-    kind = type(rows[0][0])
-    for row in rows:
-        for e in row:
-            if type(e) is not kind:
-                return False
-    return issubclass(kind, RingElement)
+def _one_type(rows):
+    """The type every entry has, or None when they differ."""
+    kinds = set(map(type, chain.from_iterable(rows)))
+    return kinds.pop() if len(kinds) == 1 else None
 
 
 class DenseMatrix(_Record):
     """Row-major square matrix with all entries from one ring, built from
-    any iterable of rows.  Plain ints become Integer; any other entry that
-    is not a ring element raises TypeError, and two rings MixedRingError."""
+    any iterable of rows.  Plain ints become Integer, one per distinct
+    value, so equal entries share one object; any other entry that is not
+    a ring element raises TypeError, and two rings MixedRingError."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows) -> None:
         rows = tuple(map(tuple, rows))
         _require_square(rows)
-        if not _one_ring(rows):
+        kind = _one_type(rows)
+        if kind is int:
+            one = {v: Integer(v) for v in set(chain.from_iterable(rows))}
+            rows = tuple(tuple(map(one.__getitem__, row)) for row in rows)
+        elif kind is None or not issubclass(kind, RingElement):
             rows = tuple(tuple(map(as_element, row)) for row in rows)
-            if not _one_ring(rows):
+            if _one_type(rows) is None:
                 raise MixedRingError("all entries must come from one ring")
         super().__init__(rows)
 
@@ -105,10 +106,15 @@ class DenseMatrix(_Record):
         return isinstance(self.rows[0][0], Integer)
 
 
+# the DenseMatrix of square rows of tuples of one ring, built unchecked
+_dense = DenseMatrix._unchecked
+
+
 def _raw_rows(m: DenseMatrix):
     """The rows as plain ints, and the function that reads an int result
-    back into the matrix's ring: the one place an oracle enters or leaves
-    a ring.  Integer is unwrapped.  A Poly entry is evaluated at x = 2^w
+    back into the matrix's ring: where Laplace and the permanents enter and
+    leave a ring (Bareiss, integer only, reads ``.value`` at its cuts
+    alone).  Integer is unwrapped.  A Poly entry is evaluated at x = 2^w
     (Kronecker substitution), a ring homomorphism Z[x] -> Z, so a sum of
     products of entries evaluates to the int the oracle computes.  Every
     coefficient of the determinant or permanent is at most
@@ -192,45 +198,64 @@ def _exact_div(x: int, d: int) -> int:
     return q
 
 
+_second = operator.itemgetter(1)
+
+
 def det_bareiss(m: DenseMatrix) -> Integer:
     """Exact integer determinant by Bareiss fraction-free elimination, doing
     only the work the matrix's nonzeros need.
 
     Row i first becomes row_i - row_(i+1) and column j col_j - col_(j+1),
     for i, j < n-1.  Both are unimodular, so the determinant stays.  The
-    differenced entry at (i, j) is nonzero only where row i or row i+1
-    changes value between columns j and j+1, so it is evaluated only at
-    those run boundaries, and a matrix constant along its diagonals except
-    at a few value changes (every band matrix of the package) keeps a
-    handful of nonzeros a row.  Each row is kept from its first nonzero
-    column on and filed in that column's bucket; step k updates exactly
-    bucket k, and an updated row moves to the bucket of its new first
-    nonzero.  The pivot is row k when it is in bucket k, otherwise the
-    candidate with the shortest span; rows are never swapped, and the sign
-    is the parity of the pivot order.  A row that skips step t is only
-    scaled by p_t / p_(t-1) (Sylvester's identity, Bareiss 1968), and that
-    product telescopes: a row last updated at step s - 1 is brought up to
-    step k by multiplying by p_(k-1) and dividing by p_(s-1), so its next
-    update divides by p_(s-1) in place of p_(k-1).  Every division is
-    exact by construction; inexactness is checked and reported as a bug.
+    differenced row i is the steps a_ij - a_i(j+1) of row i less those of
+    row i+1 (a zero column and a zero row lie past the edge), and a step is
+    taken only at a cut, a column j whose entries j and j+1 are not one
+    object, so ``.value`` is read only there.  Equal entries share one
+    object in a band, so its cuts are its value changes: a row that is the
+    row above moved one column right takes that row's steps moved with it,
+    and only a row that is not is scanned.  A matrix constant along its
+    diagonals except at a few value changes (every band matrix of the
+    package) keeps a handful of nonzeros a row.  Each row is kept from its
+    first nonzero column on and filed in that column's bucket; step k
+    updates exactly bucket k, and an updated row moves to the bucket of its
+    new first nonzero.  The pivot is row k when it is in bucket k,
+    otherwise the candidate with the shortest span; rows are never swapped,
+    and the sign is the parity of the pivot order.  A row that skips step t
+    is only scaled by p_t / p_(t-1) (Sylvester's identity, Bareiss 1968),
+    and that product telescopes: a row last updated at step s - 1 is
+    brought up to step k by multiplying by p_(k-1) and dividing by
+    p_(s-1), so its next update divides by p_(s-1) in place of p_(k-1).
+    Every division is exact by construction; inexactness is checked and
+    reported as a bug.
     """
     if not m.is_integer():
         raise TypeError("det_bareiss requires the integer ring")
     n = m.n
-    a, wrap = _raw_rows(m)
-    # a zero column and a zero row past the edge
-    for row in a:
-        row.append(0)
-    a.append([0] * (n + 1))
-    # the last column of every run but the final one: each j with a_ij != a_i(j+1)
-    runs = (map(len, map(list, map(operator.itemgetter(1), groupby(row)))) for row in a)
-    cuts = [[*accumulate(lengths, initial=-1)][1:-1] for lengths in runs]
+    last = n - 1
+    # each row's steps {j: a_ij - a_i(j+1)} at its cuts; column n-1 is one,
+    # against the zero column past the edge
+    steps = []
+    above = step = None
+    for row in m.rows:
+        # the row above moved right: its steps left of column n-2 move with it
+        if step is not None and row[1:] == above[:-1]:
+            step = {j + 1: v for j, v in step.items() if j < last - 1}
+            if row[0] is not row[1]:
+                step[0] = row[0].value - row[1].value
+        else:
+            step = {j: row[j].value - row[j + 1].value for j in compress(count(), map(operator.is_not, row, row[1:]))}
+        step[last] = row[last].value
+        steps.append(step)
+        above = row
+    steps.append({})  # the zero row past the edge
     rows = [None] * n  # row i from its first nonzero column on
     buckets = [[] for _ in range(n)]  # the rows whose first nonzero is column k
     for i in range(n):
-        # both rows constant across j and j+1 leave a 0; a row of zeros is filed nowhere
-        r, s = a[i], a[i + 1]
-        diff = [(j, v) for j in sorted({*cuts[i], *cuts[i + 1]}) if (v := r[j] - s[j] - r[j + 1] + s[j + 1])]
+        d = steps[i].copy()
+        for j, v in steps[i + 1].items():
+            d[j] = d.get(j, 0) - v
+        # the nonzeros by column; a row of zeros is filed nowhere
+        diff = sorted(filter(_second, d.items()))
         if diff:
             lo = diff[0][0]
             row = rows[i] = [0] * (diff[-1][0] + 1 - lo)
@@ -243,7 +268,7 @@ def det_bareiss(m: DenseMatrix) -> Integer:
     for k in range(n):
         bucket = buckets[k]
         if not bucket:
-            return wrap(0)
+            return Integer(0)
         # row k first: the shortest span alone builds wider minors on dense bands
         p = k if k in bucket else min(bucket, key=lambda i: len(rows[i]))
         order.append(p)
@@ -268,7 +293,7 @@ def det_bareiss(m: DenseMatrix) -> Integer:
         cycles += order[i] >= 0
         while order[i] >= 0:  # walk the new cycle back to i, marking it
             order[i], i = -1, order[i]
-    return wrap(-prev if (n - cycles) & 1 else prev)
+    return Integer(-prev if (n - cycles) & 1 else prev)
 
 
 def permanent_ryser(m: DenseMatrix) -> RingElement:

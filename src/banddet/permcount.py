@@ -18,7 +18,7 @@ from itertools import accumulate, permutations
 from math import comb, factorial, prod
 from operator import mul, or_
 
-from .band import _FAMILY_NAMES, BandSpec, _band_run, band_rows, materialize
+from .band import _FAMILY_NAMES, BandSpec, _band_rows, _band_run, materialize
 from .errors import InvalidPermutationError, ParityError, _Record
 from .errors import _require_int, _require_order, _require_square
 from .oracle import DenseMatrix, _exact_div, check_size, det_bareiss, permanent_ryser
@@ -367,14 +367,15 @@ def menage_a_matrix(n: int) -> CharMatrix:
     """Characteristic matrix of the seatings with pi(i) != i, i+1 and
     pi(n) != n: zeros on the main and first upper diagonals."""
     _require_order(n)
-    return CharMatrix(band_rows(n, *_MENAGE_A_ZEROS, 0, 1))
+    # 0/1 rows from the row builder: no 0/1 scan
+    return CharMatrix._unchecked(_band_rows(n, *_MENAGE_A_ZEROS, 0, 1))
 
 
 def menage_b_matrix(n: int) -> CharMatrix:
     """Characteristic matrix of the seatings with |pi(i) - i| > 1: the
     zero tridiagonal."""
     _require_order(n)
-    return CharMatrix(band_rows(n, *_MENAGE_B_ZEROS, 0, 1))
+    return CharMatrix._unchecked(_band_rows(n, *_MENAGE_B_ZEROS, 0, 1))
 
 
 def menage_a_permanent_rec(n: int) -> int:

@@ -94,6 +94,20 @@ class TestEntry:
 
 
 class TestMaterialize:
+    def test_is_the_checked_matrix_of_the_spec_entries(self):
+        # built unchecked, it equals what DenseMatrix builds from the same
+        # rows, and every entry is spec.a or spec.b itself
+        pairs = [(-1, 2), (Poly((1, 1)), Poly((0, -1)))]
+        for n in (1, 2, 3, 5, 8, 13):
+            for k in range(1, 7):
+                for l in range(1, 7):
+                    for a, b in pairs:
+                        spec = BandSpec(n, k, l, a, b)
+                        m = materialize(spec)
+                        assert m == DenseMatrix(band_rows(n, spec.k, spec.l, spec.b, spec.a)), spec
+                        assert all(e is spec.a or e is spec.b for row in m.rows for e in row), spec
+                        assert all(type(row) is tuple for row in m.rows)
+
     def test_all_b_upper_triangle(self):
         a, b = Integer(7), Integer(9)
         m = materialize(BandSpec(3, 3, 1, a, b))

@@ -406,13 +406,73 @@ class TestBareissBookkeeping:
         assert det_bareiss(m) == Integer(24)
 
     def test_equal_big_entries_are_distinct_objects(self):
+        # a separate Integer per entry, so every column is a cut by identity
+        # and only the values tell runs apart (plain ints would be wrapped
+        # once per value)
         big = 10**40 + 7
         for n, k, l in ((9, 3, 2), (17, 4, 1), (25, 2, 2)):
             spec = BandSpec(n, k, l, -big, 2 * big)
-            rows = [[int(str(e.value)) for e in row] for row in materialize(spec).rows]
+            rows = [[Integer(int(str(e.value))) for e in row] for row in materialize(spec).rows]
             m = int_matrix(rows)
-            assert m[0][0].value is not m[1][1].value
+            assert m[0][0] is not m[1][1] and m[0][0].value is not m[1][1].value
             assert det_bareiss(m) == fraction_det(m) == det_closed(spec), spec
+
+    def test_toeplitz_with_a_random_symbol(self):
+        # every row the row above moved right, with a new column 0: the cuts
+        # come from the shift rule, from the rows above, all the way down
+        rng = random.Random("toeplitz")
+        for n in [*range(1, 16), 24, 40]:
+            for pool in ((0, 1), (-2, 0, 3), (0, 0, 0, 5, -10**30), tuple(range(-9, 10))):
+                symbol = [rng.choice(pool) for _ in range(2 * n - 1)]
+                m = int_matrix([[symbol[n - 1 + j - i] for j in range(n)] for i in range(n)])
+                assert all(m[i][1:] == m[i - 1][:-1] for i in range(1, n))
+                assert det_bareiss(m) == fraction_det(m), symbol
+
+    def test_shifted_rows_with_any_column_0(self):
+        # each row is the row above moved right, with column 0 equal to its
+        # neighbour (no cut there) or not, and now and then a fresh row that
+        # the next rows shift from
+        rng = random.Random("column 0")
+        for n in [*range(2, 16), 31]:
+            for _ in range(8):
+                rows = [[rng.randint(-2, 2) for _ in range(n)]]
+                for _ in range(n - 1):
+                    above = rows[-1]
+                    if rng.random() < 0.15:
+                        rows.append([rng.randint(-2, 2) for _ in range(n)])
+                    else:
+                        first = above[0] if rng.random() < 0.5 else rng.choice((-3, 4))
+                        rows.append([first, *above[:-1]])
+                m = int_matrix(rows)
+                assert det_bareiss(m) == fraction_det(m), rows
+
+    def test_shifted_rows_ending_in_a_nonzero(self):
+        # the step at the last column is a_i(n-1) - 0, against the zero
+        # column past the edge; no row above can pass it down by a shift
+        for n in range(1, 30):
+            for v in (1, -2, 7):
+                # v on and above the diagonal: row 0 has no cut but the last column
+                upper = int_matrix([[v if j >= i else 0 for j in range(n)] for i in range(n)])
+                assert det_bareiss(upper) == fraction_det(upper) == Integer(v**n)
+                # the symbol d + v on offsets d >= 0 and 1 on offset -1: every row ends in a nonzero
+                hessenberg = int_matrix([[j - i + v if j >= i else int(j == i - 1) for j in range(n)] for i in range(n)])
+                assert det_bareiss(hessenberg) == fraction_det(hessenberg), (n, v)
+
+    def test_orders_1_and_2(self):
+        values = (-2, -1, 0, 1, 3, 10**25)
+        for x in values:
+            assert det_bareiss(int_matrix([[x]])) == Integer(x)
+            assert det_bareiss(int_matrix([[Integer(x)]])) == Integer(x)
+        for a in values:
+            for b in values:
+                for c in values:
+                    for d in values:
+                        want = Integer(a * d - b * c)
+                        assert det_bareiss(int_matrix([[a, b], [c, d]])) == want, (a, b, c, d)
+                # equal entries as distinct objects, and as one
+                x, y = Integer(a), Integer(int(str(a)))
+                for rows in ([[x, y], [y, x]], [[x, x], [x, Integer(b)]], [[Integer(b), x], [y, x]]):
+                    assert det_bareiss(int_matrix(rows)) == fraction_det(int_matrix(rows)), rows
 
 
 class TestPermanentRyser:
@@ -541,3 +601,27 @@ class TestDenseMatrix:
     def test_rejects_mixed_rings(self):
         with pytest.raises(MixedRingError):
             DenseMatrix(((Integer(1), Poly.variable()), (Integer(0), Integer(1))))
+
+    def test_plain_ints_share_one_integer_per_value(self):
+        big = 10**30 + 1
+        rows = [[1, 0, big], [int(str(big)), 1, 0], [0, int(str(big)), 1]]
+        assert rows[0][2] is not rows[1][0]
+        m = DenseMatrix(rows)
+        assert m[0][2] is m[1][0] is m[2][1] == Integer(big)
+        assert m[0][0] is m[1][1] is m[2][2] and m[0][1] is m[1][2] is m[2][0]
+        assert len({id(e) for row in m.rows for e in row}) == 3
+
+    def test_refuses_what_is_not_exactly_an_int(self):
+        class Sub(int):
+            pass
+
+        for odd in (True, 1.0, Sub(1)):
+            with pytest.raises(TypeError, match="^Integer wraps a Python int$"):
+                DenseMatrix([[1, odd], [0, 1]])
+            with pytest.raises(TypeError, match="^Integer wraps a Python int$"):
+                DenseMatrix([[odd, odd], [odd, odd]])
+
+    def test_integers_and_ints_mix(self):
+        m = DenseMatrix([[Integer(2), 1], [0, Integer(3)]])
+        assert m == DenseMatrix([[2, 1], [0, 3]])
+        assert det_bareiss(m) == Integer(6)

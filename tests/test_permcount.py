@@ -70,6 +70,12 @@ class TestCharMatrix:
         dense = menage_a_matrix(2).to_dense()
         assert det_bareiss(dense).value == 0
 
+    def test_seating_matrices_equal_the_checked_ones(self):
+        # built without the 0/1 scan, they are what the checked constructor builds
+        for n in range(1, 31):
+            assert menage_a_matrix(n) == CharMatrix(band_rows(n, 2, 1, 0, 1))
+            assert menage_b_matrix(n) == CharMatrix(band_rows(n, 2, 2, 0, 1))
+
 
 class TestParityCount:
     def test_inconsistent_rejected(self):
