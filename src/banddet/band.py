@@ -11,7 +11,7 @@ cross-checking the l = 1 case.
 from __future__ import annotations
 
 from .errors import MixedRingError, _Record, _require_int, _require_order
-from .oracle import DenseMatrix, _dense, _exact_div
+from .oracle import DenseMatrix, _dense, _exact_div, _Strip, _windows
 from .rings import RingElement, as_element, element_from_json, element_to_json
 
 __all__ = [
@@ -128,20 +128,25 @@ def band_rows(n: int, k: int, l: int, inside, outside) -> tuple[tuple, ...]:
 
 def _band_rows(n: int, k: int, l: int, inside, outside) -> tuple[tuple, ...]:
     """The rows of :func:`band_rows` for a caller that has applied the
-    shape rule.  The matrix is Toeplitz, so row i is the n-wide window of
-    one strip that starts n - 1 - i entries in: the middle row of order
-    2n - 1, whose run :func:`_band_run` clips, so huge widths cost
-    nothing.  Each entry is `inside` or `outside` itself."""
+    shape rule: the windows of :func:`_band_strip`."""
+    return _windows(_band_strip(n, k, l, inside, outside))
+
+
+def _band_strip(n: int, k: int, l: int, inside, outside) -> tuple:
+    """The strip of the order-n band matrix, whose n-wide window that
+    starts n - 1 - i entries in is row i (the matrix is Toeplitz): the
+    middle row of order 2n - 1, whose run :func:`_band_run` clips, so huge
+    widths cost nothing.  Each entry is `inside` or `outside` itself."""
     lo, hi = _band_run(2 * n - 1, k, l, n - 1)
-    strip = (outside,) * lo + (inside,) * (hi - lo) + (outside,) * (2 * n - 1 - hi)
-    return tuple(strip[i : i + n] for i in range(n - 1, -1, -1))
+    return (outside,) * lo + (inside,) * (hi - lo) + (outside,) * (2 * n - 1 - hi)
 
 
 def materialize(spec: BandSpec) -> DenseMatrix:
     """The full n x n matrix; Toeplitz and persymmetric by construction.
-    Its entries are spec.a and spec.b themselves, which the spec has
-    already put in one ring, so the matrix is built unchecked."""
-    return _dense(_band_rows(spec.n, spec.k, spec.l, spec.b, spec.a))
+    It keeps its strip of 2n - 1 entries, spec.a and spec.b themselves,
+    which the spec has already put in one ring, and cuts a row from it
+    only when one is read."""
+    return _Strip(_band_strip(spec.n, spec.k, spec.l, spec.b, spec.a))
 
 
 def residue(spec: BandSpec) -> BandResidue:

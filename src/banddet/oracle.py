@@ -14,6 +14,7 @@ import operator
 import os
 from functools import reduce
 from itertools import chain, compress, count, permutations, zip_longest
+from math import prod
 
 from .errors import InexactDivisionError, MixedRingError, SizeLimitError, _Record, _require_square
 from .rings import Integer, Poly, RingElement, _int_parse, _poly, as_element
@@ -34,9 +35,10 @@ _DEFAULT_LIMITS = {
     "RYSER_POLY": 18,
     "ENUM": 9,  # every walk over the n! permutations of S_n
     "TRANSFER": 200,  # the rook-number census paths of permcount (polynomial time)
-    # the CLI's Bareiss runs: DENSE bounds the n^2 entries built, DENSE_BITS
-    # n times the bits of max(|a|, |b|), which bounds the size of the minors
-    # elimination builds (the slowest admitted run takes about 2 s)
+    # the CLI's Bareiss runs: DENSE bounds the order n, the number of
+    # elimination steps, DENSE_BITS n times the bits of max(|a|, |b|), which
+    # bounds the size of the minors elimination builds (the slowest admitted
+    # run takes about 2 s)
     "DENSE": 200,
     "DENSE_BITS": 50_000,
     # the CLI's closed form and recurrence: the answer's estimated bits,
@@ -105,9 +107,51 @@ class DenseMatrix(_Record):
     def is_integer(self) -> bool:
         return isinstance(self.rows[0][0], Integer)
 
+    # every DenseMatrix compares, hashes and prints by its rows, however it
+    # keeps them
+    def __eq__(self, other):
+        return self.rows == other.rows if isinstance(other, DenseMatrix) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
+    def __repr__(self) -> str:
+        return f"DenseMatrix(rows={self.rows!r})"
+
 
 # the DenseMatrix of square rows of tuples of one ring, built unchecked
 _dense = DenseMatrix._unchecked
+
+
+def _windows(strip):
+    """The rows of the Toeplitz matrix of a strip of 2n - 1 entries: row i
+    is the n-wide window that starts n - 1 - i entries in."""
+    n = (len(strip) + 1) // 2
+    return tuple(strip[i : i + n] for i in range(n - 1, -1, -1))
+
+
+class _Strip(DenseMatrix):
+    """A Toeplitz DenseMatrix kept as its strip, the 2n - 1 entries whose
+    windows are its rows (see ``_windows``); a row is cut from the strip
+    only when asked for.  Built unchecked, by ``band.materialize`` and by
+    copy and pickle, from entries of one ring."""
+
+    __slots__ = ("strip",)
+    _fields = ()  # the strip alone stands in for the rows
+    __init__ = _Record.__init__
+
+    n = property(lambda self: (len(self.strip) + 1) // 2)
+    rows = property(lambda self: _windows(self.strip))
+
+    def __getitem__(self, i: int) -> tuple[RingElement, ...]:
+        if isinstance(i, slice):
+            return self.rows[i]
+        n = self.n
+        start = n - 1 - range(n)[i]  # refuses what a tuple of n rows refuses
+        return self.strip[start : start + n]
+
+    def is_integer(self) -> bool:
+        return isinstance(self.strip[0], Integer)
 
 
 def _raw_rows(m: DenseMatrix):
@@ -121,15 +165,21 @@ def _raw_rows(m: DenseMatrix):
     bound = prod_i sum_j |a_ij|_1 in size, since |det|_1 <= per(|A|_1)
     <= the product of the row sums; with w = bound.bit_length() + 1 each
     coefficient lies strictly inside (-2^(w-1), 2^(w-1)), so the result
-    reads back exactly as signed base-2^w digits."""
+    reads back exactly as signed base-2^w digits.  A strip matrix is read
+    off its strip: each strip entry once, the int rows as windows of the
+    int strip, and each row sum as a window sum."""
+
+    def ints(f):
+        # f of each entry: of a strip matrix, once per strip entry, its rows then cut as windows
+        if type(m) is _Strip:
+            return _windows(list(map(f, m.strip)))
+        return [list(map(f, row)) for row in m.rows]
+
     if m.is_integer():
-        return [[e.value for e in row] for row in m.rows], Integer
-    bound = 1
-    for row in m.rows:
-        bound *= sum(abs(c) for e in row for c in e.coeffs)
+        return ints(operator.attrgetter("value")), Integer
+    bound = prod(map(sum, ints(lambda e: sum(map(abs, e.coeffs)))))
     w = bound.bit_length() + 1
-    x = 1 << w
-    return [[e.evaluate(x) for e in row] for row in m.rows], lambda r: _unkronecker(r, w)
+    return ints(operator.methodcaller("evaluate", 1 << w)), lambda r: _unkronecker(r, w)
 
 
 def _unkronecker(r: int, w: int) -> Poly:
@@ -201,6 +251,48 @@ def _exact_div(x: int, d: int) -> int:
 _second = operator.itemgetter(1)
 
 
+def _row_differences(rows):
+    """Each differenced row of det_bareiss, as its nonzeros (j, v) by
+    column: the steps {j: a_ij - a_i(j+1)} of row i, taken at its cuts and
+    at column n-1 (against the zero column past the edge), less those of
+    row i+1 (the zero row past the edge for the last)."""
+    last = len(rows) - 1
+    steps = []
+    for row in rows:
+        step = {j: row[j].value - row[j + 1].value for j in compress(count(), map(operator.is_not, row, row[1:]))}
+        step[last] = row[last].value
+        steps.append(step)
+    steps.append({})
+    for i, d in enumerate(steps[:-1]):
+        for j, v in steps[i + 1].items():
+            d[j] = d.get(j, 0) - v
+        yield sorted(filter(_second, d.items()))
+
+
+def _strip_differences(strip):
+    """The differenced rows of ``_row_differences`` for the matrix of a
+    strip, read off the strip's cuts alone.  Row i's entry j is strip
+    entry t = n-1-i+j, so its steps are the strip's steps
+    c_t = s_t - s_(t+1) at its cuts t inside its window, moved by n-1-i.
+    The differenced row i < n-1 is then c_t - c_(t-1) at columns j < n-1
+    and -c_(2n-3-i) at column n-1; the last row is c_j at columns j < n-1
+    and s_(n-1) at n-1."""
+    n = (len(strip) + 1) // 2
+    cuts = {t: strip[t].value - strip[t + 1].value for t in compress(count(), map(operator.is_not, strip, strip[1:]))}
+    # c_t - c_(t-1) where it is not zero, by strip position
+    second = [(t, v) for t in sorted({*cuts, *(t + 1 for t in cuts)}) if (v := cuts.get(t, 0) - cuts.get(t - 1, 0))]
+    for i in range(n - 1):
+        start = n - 1 - i
+        diff = [(t - start, v) for t, v in second if start <= t < start + n - 1]
+        if v := cuts.get(start + n - 2):
+            diff.append((n - 1, -v))
+        yield diff
+    diff = [(t, v) for t, v in cuts.items() if t < n - 1 and v]
+    if v := strip[n - 1].value:
+        diff.append((n - 1, v))
+    yield diff
+
+
 def det_bareiss(m: DenseMatrix) -> Integer:
     """Exact integer determinant by Bareiss fraction-free elimination, doing
     only the work the matrix's nonzeros need.
@@ -210,18 +302,20 @@ def det_bareiss(m: DenseMatrix) -> Integer:
     differenced row i is the steps a_ij - a_i(j+1) of row i less those of
     row i+1 (a zero column and a zero row lie past the edge), and a step is
     taken only at a cut, a column j whose entries j and j+1 are not one
-    object, so ``.value`` is read only there.  Equal entries share one
-    object in a band, so its cuts are its value changes: a row that is the
-    row above moved one column right takes that row's steps moved with it,
-    and only a row that is not is scanned.  A matrix constant along its
-    diagonals except at a few value changes (every band matrix of the
-    package) keeps a handful of nonzeros a row.  Each row is kept from its
-    first nonzero column on and filed in that column's bucket; step k
-    updates exactly bucket k, and an updated row moves to the bucket of its
-    new first nonzero.  The pivot is row k when it is in bucket k,
-    otherwise the candidate with the shortest span; rows are never swapped,
-    and the sign is the parity of the pivot order.  A row that skips step t
-    is only scaled by p_t / p_(t-1) (Sylvester's identity, Bareiss 1968),
+    object, so ``.value`` is read only there.  The matrix of a strip (what
+    ``band.materialize`` returns) has its cuts read once off the strip, and
+    its differenced rows built from them (``_strip_differences``); any
+    other matrix has each row scanned (``_row_differences``).  Equal
+    entries share one object in a band, so its cuts are its value changes,
+    and a matrix constant along its diagonals except at a few value changes
+    (every band matrix of the package) keeps a handful of nonzeros a row.
+    Each row is kept from its first nonzero column on and filed in that
+    column's bucket; step k updates exactly bucket k, and an updated row
+    moves to the bucket of its new first nonzero.  The pivot is row k when
+    it is in bucket k, otherwise the candidate with the shortest span; rows
+    are never swapped, and the sign is the parity of the pivot order.  A
+    row that skips step t is only scaled by p_t / p_(t-1) (Sylvester's
+    identity, Bareiss 1968),
     and that product telescopes: a row last updated at step s - 1 is
     brought up to step k by multiplying by p_(k-1) and dividing by
     p_(s-1), so its next update divides by p_(s-1) in place of p_(k-1).
@@ -231,31 +325,11 @@ def det_bareiss(m: DenseMatrix) -> Integer:
     if not m.is_integer():
         raise TypeError("det_bareiss requires the integer ring")
     n = m.n
-    last = n - 1
-    # each row's steps {j: a_ij - a_i(j+1)} at its cuts; column n-1 is one,
-    # against the zero column past the edge
-    steps = []
-    above = step = None
-    for row in m.rows:
-        # the row above moved right: its steps left of column n-2 move with it
-        if step is not None and row[1:] == above[:-1]:
-            step = {j + 1: v for j, v in step.items() if j < last - 1}
-            if row[0] is not row[1]:
-                step[0] = row[0].value - row[1].value
-        else:
-            step = {j: row[j].value - row[j + 1].value for j in compress(count(), map(operator.is_not, row, row[1:]))}
-        step[last] = row[last].value
-        steps.append(step)
-        above = row
-    steps.append({})  # the zero row past the edge
     rows = [None] * n  # row i from its first nonzero column on
     buckets = [[] for _ in range(n)]  # the rows whose first nonzero is column k
-    for i in range(n):
-        d = steps[i].copy()
-        for j, v in steps[i + 1].items():
-            d[j] = d.get(j, 0) - v
-        # the nonzeros by column; a row of zeros is filed nowhere
-        diff = sorted(filter(_second, d.items()))
+    diffs = _strip_differences(m.strip) if type(m) is _Strip else _row_differences(m.rows)
+    # a row of zeros is filed nowhere
+    for i, diff in enumerate(diffs):
         if diff:
             lo = diff[0][0]
             row = rows[i] = [0] * (diff[-1][0] + 1 - lo)

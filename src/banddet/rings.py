@@ -243,6 +243,7 @@ class Poly(RingElement):
 
     def evaluate(self, v: int) -> int:
         """Value at an integer point, by Horner's rule."""
+        _require_int("v", v)
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * v + c

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from banddet import (
@@ -11,6 +14,7 @@ from banddet import (
     all_b_row_count,
     band_rows,
     bordered_matrix,
+    det_bareiss,
     det_case1,
     det_case2,
     det_closed,
@@ -146,6 +150,73 @@ class TestMaterialize:
         for i in range(1, 6):
             for j in range(1, 6):
                 assert m[i - 1][j - 1] == entry(spec, i, j)
+
+
+# the matrix materialize keeps as its strip, against the DenseMatrix of its rows
+STRIP_PAIRS = [(-1, 2), (0, 1), (3, -2), (Poly((1, 1)), Poly((0, -1)))]
+
+
+class TestStripMatrix:
+    def test_equals_and_hashes_as_the_dense_matrix_of_its_rows(self):
+        for n in (1, 2, 3, 7, 12):
+            for k, l in ((1, 1), (2, 1), (3, 2), (n + 2, n + 5)):
+                for a, b in STRIP_PAIRS:
+                    m = materialize(BandSpec(n, k, l, a, b))
+                    dense = DenseMatrix(m.rows)
+                    assert m == dense and dense == m and not m != dense
+                    assert hash(m) == hash(dense)
+                    assert repr(m) == repr(dense)
+                    assert len({m, dense}) == 1
+        # a different matrix of the same order is not equal
+        m = materialize(BandSpec(5, 2, 1, 0, 1))
+        assert m != materialize(BandSpec(5, 2, 2, 0, 1))
+        assert m != DenseMatrix(materialize(BandSpec(5, 2, 1, 1, 0)).rows)
+        assert m != m.rows and m != materialize(BandSpec(4, 2, 1, 0, 1))
+
+    def test_copy_and_pickle_round_trips(self):
+        for a, b in STRIP_PAIRS:
+            for n in (1, 2, 9):
+                m = materialize(BandSpec(n, 3, 2, a, b))
+                for other in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+                    assert other == m and hash(other) == hash(m)
+                    assert other == DenseMatrix(m.rows)
+                    assert other.n == n and other.is_integer() == m.is_integer()
+                    # equal entries stay one object, and the strip stays a strip
+                    assert len({id(e) for row in other.rows for e in row}) <= 2
+                    assert type(other) is type(m)
+
+    def test_rows_n_and_is_integer(self):
+        for n in range(1, 12):
+            for a, b in STRIP_PAIRS:
+                spec = BandSpec(n, 3, 2, a, b)
+                m = materialize(spec)
+                rows = band_rows(n, spec.k, spec.l, spec.b, spec.a)
+                assert m.n == n and len(m.rows) == n
+                assert m.is_integer() == isinstance(spec.a, Integer)
+                assert m.rows == rows
+                for i in range(-n, n):
+                    assert m[i] == rows[i] and type(m[i]) is tuple
+                assert m[1:3] == rows[1:3] and m[::-1] == rows[::-1]
+                for i in (n, -n - 1):
+                    with pytest.raises(IndexError):
+                        m[i]
+                # iterating stops at the first index past the last row
+                assert tuple(m) == rows
+        one = materialize(BandSpec(1, 1, 1, 5, 0))
+        assert one.n == 1 and one.is_integer() and one[0] == (Integer(0),) and one[-1] == (Integer(0),)
+        assert not materialize(BandSpec(1, 1, 1, Poly((1,)), Poly((0, 1)))).is_integer()
+
+    def test_bareiss_sweep(self):
+        # every band shape l <= k <= 6 up to order 40: the strip's cuts, the
+        # rows' cuts and the closed form agree
+        for n in range(1, 41):
+            for k in range(1, 7):
+                for l in range(1, k + 1):
+                    for a, b in ((-1, 2), (0, 1), (2, -3), (1, 5)):
+                        spec = BandSpec(n, k, l, a, b)
+                        m = materialize(spec)
+                        want = det_closed(spec)
+                        assert det_bareiss(m) == det_bareiss(DenseMatrix(m.rows)) == want, spec
 
 
 class TestResidue:

@@ -475,6 +475,59 @@ class TestBareissBookkeeping:
                     assert det_bareiss(int_matrix(rows)) == fraction_det(int_matrix(rows)), rows
 
 
+class TestStripMatrix:
+    """The matrix materialize returns keeps its strip; det_bareiss reads its
+    cuts off the strip and _raw_rows its ints, each against the matrix of
+    the same rows."""
+
+    def test_random_symbol_strips_match_a_rational_elimination(self):
+        rng = random.Random("strip")
+        pools = ((0, 1), (-2, 0, 3), (0, 0, 0, 5, -(10**30)), tuple(range(-9, 10)))
+        for n in [*range(1, 16), 24, 40]:
+            for pool in pools if n < 16 else pools[:2]:
+                symbol = [rng.choice(pool) for _ in range(2 * n - 1)]
+                one = {v: Integer(v) for v in pool}
+                # equal entries as one object, and as a separate Integer each
+                for strip in (tuple(map(one.__getitem__, symbol)), tuple(map(Integer, symbol))):
+                    m = oracle._Strip(strip)
+                    dense = DenseMatrix(m.rows)
+                    assert m == dense == DenseMatrix([[symbol[n - 1 + j - i] for j in range(n)] for i in range(n)])
+                    assert det_bareiss(m) == det_bareiss(dense) == fraction_det(dense), symbol
+
+    def test_raw_rows_read_off_the_strip(self):
+        pairs = [(-1, 2), (0, 3), *POLY_PAIRS[:6], (Poly((2, -1, 1)), Poly((0, 0, -3)))]
+        for n in range(1, 10):
+            for k, l in VERIFY_SHAPES:
+                for a, b in pairs:
+                    m = materialize(BandSpec(n, k, l, a, b))
+                    dense = DenseMatrix(m.rows)
+                    rows, wrap = oracle._raw_rows(m)
+                    dense_rows, dense_wrap = oracle._raw_rows(dense)
+                    # the same ints, so the same Kronecker point and bound
+                    assert list(map(list, rows)) == dense_rows, (n, k, l, a, b)
+                    assert wrap(12345) == dense_wrap(12345)
+                    for run in (det_laplace, permanent_ryser, permanent_expansion)[: 3 if n <= 5 else 2]:
+                        assert run(m) == run(dense), (run.__name__, n, k, l, a, b)
+
+    def test_each_strip_entry_is_evaluated_once(self, monkeypatch):
+        real = Poly.evaluate
+        calls = []
+
+        def counted(p, v):
+            calls.append(p)
+            return real(p, v)
+
+        monkeypatch.setattr(Poly, "evaluate", counted)
+        for n in (1, 5, 12):
+            m = materialize(BandSpec(n, 3, 2, Poly((1, 1)), Poly((0, -1))))
+            calls.clear()
+            oracle._raw_rows(m)
+            assert len(calls) == 2 * n - 1
+            calls.clear()
+            oracle._raw_rows(DenseMatrix(m.rows))
+            assert len(calls) == n * n
+
+
 class TestPermanentRyser:
     def test_2x2_all_ones(self):
         assert permanent_ryser(int_matrix([[1, 1], [1, 1]])) == Integer(2)

@@ -423,3 +423,14 @@ def test_evaluate():
     p = (P(-1, 1) ** 3) * Poly.variable()
     for v in (-3, 0, 2, 10):
         assert p.evaluate(v) == (v - 1) ** 3 * v
+
+
+def test_evaluate_refuses_what_is_not_exactly_an_int():
+    # the one integer rule: a bool is not the point 1, nor a float a point
+    class Sub(int):
+        pass
+
+    for p in (Poly((1, 2)), Poly(), Poly((5,))):
+        for v in (True, False, 0.5, 2.0, Sub(2)):
+            with pytest.raises(TypeError, match=f"^v must be an int, got {v!r}$"):
+                p.evaluate(v)
