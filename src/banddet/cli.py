@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("bench", help="time the closed form against elimination")
-    p.add_argument("sizes", type=integers, help="comma-separated orders, e.g. 64,256,1024")
+    p.add_argument("sizes", type=integers, help="comma-separated orders, e.g. 32,72,160")
     p.add_argument("--method", choices=("bareiss", "laplace"), default="bareiss")
     for flag, default in (("--k", 2), ("--l", 1), ("--a", 1), ("--b", 2)):
         p.add_argument(flag, type=integer, default=default)

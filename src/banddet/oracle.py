@@ -248,6 +248,23 @@ def _exact_div(x: int, d: int) -> int:
     return q
 
 
+def _perm_sign(perm) -> int:
+    """Sign of a sequence known to be a permutation of 0..n-1:
+    (-1)^(n - number of cycles)."""
+    n = len(perm)
+    seen = bytearray(n)
+    cycles = 0
+    for s in range(n):
+        if seen[s]:
+            continue
+        cycles += 1
+        j = s
+        while not seen[j]:
+            seen[j] = 1
+            j = perm[j]
+    return 1 if ((n - cycles) & 1) == 0 else -1
+
+
 _second = operator.itemgetter(1)
 
 
@@ -313,7 +330,7 @@ def det_bareiss(m: DenseMatrix) -> Integer:
     column's bucket; step k updates exactly bucket k, and an updated row
     moves to the bucket of its new first nonzero.  The pivot is row k when
     it is in bucket k, otherwise the candidate with the shortest span; rows
-    are never swapped, and the sign is the parity of the pivot order.  A
+    are never swapped, and the sign is that of the pivot order.  A
     row that skips step t is only scaled by p_t / p_(t-1) (Sylvester's
     identity, Bareiss 1968),
     and that product telescopes: a row last updated at step s - 1 is
@@ -361,13 +378,7 @@ def det_bareiss(m: DenseMatrix) -> Integer:
                     rows[i] = row
                     buckets[k + 1 + lo].append(i)
         prev = pk
-    # the pivot order's parity: n minus its number of cycles
-    cycles = 0
-    for i in range(n):
-        cycles += order[i] >= 0
-        while order[i] >= 0:  # walk the new cycle back to i, marking it
-            order[i], i = -1, order[i]
-    return Integer(-prev if (n - cycles) & 1 else prev)
+    return Integer(prev * _perm_sign(order))
 
 
 def permanent_ryser(m: DenseMatrix) -> RingElement:

@@ -5,15 +5,14 @@ incidence matrix is dominated entrywise by A.  The class has per(A)
 members, and the even/odd split is (per + det)/2 and (per - det)/2.
 This module builds the named families (two rectangular-table seating
 variants and the weak-excedance matrix), computes their censuses through
-the permanent/determinant route, both halves read off transfer DPs over
-the zeros of A when they are narrow, and re-derives everything by direct
-enumeration for cross-checking.
+the permanent/determinant route, the permanent read off a transfer DP
+over the zeros of A when they are narrow and the determinant by Bareiss,
+and re-derives everything by direct enumeration for cross-checking.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from functools import reduce
 from itertools import accumulate, permutations
 from math import comb, factorial, prod
 from operator import mul, or_
@@ -21,8 +20,8 @@ from operator import mul, or_
 from .band import _FAMILY_NAMES, BandSpec, _band_rows, _band_run, materialize
 from .errors import InvalidPermutationError, ParityError, _Record
 from .errors import _require_int, _require_order, _require_square
-from .oracle import DenseMatrix, _exact_div, check_size, det_bareiss, permanent_ryser
-from .rings import Poly, _binomial_coeffs
+from .oracle import DenseMatrix, _exact_div, _perm_sign, _Strip, _windows, check_size, det_bareiss, permanent_ryser
+from .rings import Integer, Poly, _binomial_coeffs
 
 __all__ = [
     "CharMatrix",
@@ -46,6 +45,10 @@ __all__ = [
 ]
 
 
+# the entries of every strip CharMatrix.to_dense builds, one object per value
+_BITS = (Integer(0), Integer(1))
+
+
 class CharMatrix(_Record):
     """0/1 characteristic matrix of a restricted-permutation class, built
     from any iterable of rows."""
@@ -62,7 +65,15 @@ class CharMatrix(_Record):
     n = property(lambda self: len(self.bits))
 
     def to_dense(self) -> DenseMatrix:
-        return DenseMatrix(self.bits)
+        """The integer matrix of the bits.  A Toeplitz one, each row the row
+        above moved one right (every seating matrix), keeps its strip: its
+        first column bottom up, then the rest of its first row, whose
+        windows are its rows exactly when it is Toeplitz."""
+        bits = self.bits
+        strip = (*(row[0] for row in reversed(bits)), *bits[0][1:])
+        if _windows(strip) == bits:
+            return _Strip(tuple(map(_BITS.__getitem__, strip)))
+        return DenseMatrix(bits)
 
 
 class ParityCount(_Record):
@@ -104,27 +115,10 @@ def perm_sign(perm) -> int:
     return _perm_sign(_permutation(perm, 0))
 
 
-def _perm_sign(perm) -> int:
-    """perm_sign of a sequence known to be a permutation of 0..n-1."""
-    n = len(perm)
-    seen = bytearray(n)
-    cycles = 0
-    for s in range(n):
-        if seen[s]:
-            continue
-        cycles += 1
-        j = s
-        while not seen[j]:
-            seen[j] = 1
-            j = perm[j]
-    return 1 if ((n - cycles) & 1) == 0 else -1
-
-
 # A board is a 0/1 matrix kept as one bit mask per row: bit j of row i is
-# set when (i, j) holds a one.  Rook numbers, permanents and the signed
-# minors of parity_counts read boards.  An order-n board holds n masks of
-# up to n bits, so both builders check the TRANSFER guard before they
-# build one.
+# set when (i, j) holds a one.  Rook numbers and the permanents of
+# parity_counts read boards.  An order-n board holds n masks of up to n
+# bits, so both builders check the TRANSFER guard before they build one.
 
 
 def _board(bits) -> list[int]:
@@ -260,86 +254,26 @@ def _hits(r: list[int], top: int) -> list[int]:
     return e + [0] * (top - n)
 
 
-def _columns(mask: int):
-    """The columns of a row mask, in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _signed_minors(board: list[int]) -> tuple[int, int]:
-    """(det Z, 1^T adj(Z) 1) of the 0/1 matrix Z with the given board, by a
-    signed profile DP with no elimination (Stanley, EC1 4.7).
-
-    det Z sums sign(pi) over the placements of n rooks on Z, one a row.
-    1^T adj(Z) 1 sums the cofactors: over the placements of n - 1 rooks
-    that skip one row i0 and leave one column c0 unused, (-1)^(i0 + c0)
-    times the sign of the permutation the rooks make.  A state is a
-    profile of _profile_rows shifted left past one flag, set once a row
-    is skipped.  A rook at (i, c) inverts with every used column above c
-    and also carries (-1)^(i + c): over n rooks these factors multiply to
-    1, and over a placement that skips i0 and leaves c0 to (-1)^(i0 + c0).
-
-    A profile forgets used columns that no later row reaches, so the
-    columns are first ordered by the last row that reaches them: a
-    forgotten column then lies below every cell of a later row.  Both
-    numbers change by the sign of that order, which is the identity on a
-    band board."""
-    n = len(board)
-    later = _later_reach(board)
-    unreached = ((1 << n) - 1) & ~reduce(or_, board, 0)
-    order = [*_columns(unreached), *(c for m, a in zip(board, later) for c in _columns(m & ~a))]
-    sign = 1
-    if order != list(range(n)):
-        sign = _perm_sign(order)
-        place = [0] * n
-        for p, c in enumerate(order):
-            place[c] = p
-        board = [sum(1 << place[c] for c in _columns(mask)) for mask in board]
-        later = _later_reach(board)
-    states = {0: 1}
-    for i, (mask, after) in enumerate(zip(board, later)):
-        # each cell's bit, the mask of the columns above it and the parity of i + c
-        cells = [(1 << c, -(2 << c), (i + c) & 1) for c in _columns(mask)]
-        step = defaultdict(int)
-        for key, count in states.items():
-            used, skipped = key >> 1, key & 1
-            if not skipped:
-                step[(used & after) << 1 | 1] += count
-            for low, above, odd in cells:
-                if not used & low:
-                    flip = ((used & above).bit_count() + odd) & 1
-                    step[((used | low) & after) << 1 | skipped] += -count if flip else count
-        states = step
-    # no row is later than the last, so every profile has collapsed to 0
-    return sign * states.get(0, 0), sign * states.get(1, 0)
-
-
-# The widest profile parity_counts gives the DPs.  At the TRANSFER default of
-# 200 both DPs over a width-8 zero band take about 1.4 s, most of it the rook
-# DP, no more than Ryser at its own limit of 20 (about 3 s; both on a 2-vCPU
-# Xeon); the rook DP alone takes about 9 s at width 10.
+# The widest profile parity_counts gives the rook DP.  At the TRANSFER default
+# of 200 it takes about 1.1 s over a width-8 zero band, no more than Ryser at
+# its own limit of 20 (about 3 s; both on a 2-vCPU Xeon); it takes about 9 s
+# at width 10.
 _PARITY_MAX_WIDTH = 8
 
 
 def parity_counts(A: CharMatrix) -> ParityCount:
-    """Census from (per +- det)/2.  A is J - Z for its zeros Z.  When Z's
-    profile is at most _PARITY_MAX_WIDTH columns wide, both halves come
-    from Z by transfer DPs and no dense matrix is built: per A from Z's
-    rook numbers, and det A = (-1)^n (det Z - 1^T adj(Z) 1) from the
-    signed DP, since det(J_m) = 0 for m >= 2 leaves only the placements
-    of n or n - 1 rooks on Z.  A wider Z takes the permanent from its
-    rook numbers when it is a Ferrers board and from Ryser, under its own
-    guard, otherwise, and the determinant by Bareiss."""
+    """Census from (per +- det)/2.  A is J - Z for its zeros Z.  per A
+    comes from Z's rook numbers when Z's profile is at most
+    _PARITY_MAX_WIDTH columns wide or Z is a Ferrers board, and from Ryser,
+    under its own guard, otherwise.  det A comes from Bareiss, which reads
+    a Toeplitz A (every seating matrix) off its strip (see to_dense)."""
     n = A.n
     zeros = [mask ^ ((1 << n) - 1) for mask in _board(A.bits)]
-    if _profile_width(zeros) <= _PARITY_MAX_WIDTH:
-        det_z, cofactors = _signed_minors(zeros)
-        det = det_z - cofactors if n % 2 == 0 else cofactors - det_z
-        return ParityCount.split(_hits(_rook_numbers(zeros), 0)[0], det)
     dense = A.to_dense()
-    per = _hits(_rook_numbers(zeros), 0)[0] if _is_ferrers(zeros) else permanent_ryser(dense).value
+    if _profile_width(zeros) <= _PARITY_MAX_WIDTH or _is_ferrers(zeros):
+        per = _hits(_rook_numbers(zeros), 0)[0]
+    else:
+        per = permanent_ryser(dense).value
     return ParityCount.split(per, det_bareiss(dense).value)
 
 

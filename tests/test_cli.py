@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -274,6 +275,14 @@ class TestBench:
         assert code == 0
         for line in out.splitlines()[1:]:
             assert line.endswith(",true")
+
+    def test_help_example_runs_under_the_default_guards(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["bench", "--help"])
+        sizes = re.search(r"e\.g\. ([\d,]+)", capsys.readouterr().out).group(1)
+        code, out, err = run(capsys, "bench", sizes)
+        assert (code, err) == (0, "")
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == sizes.split(",")
 
     def test_laplace_guard(self, capsys):
         code, _, err = run(capsys, "bench", "20", "--method", "laplace")

@@ -39,7 +39,7 @@ from banddet import (
     weak_excedance_class,
     weak_excedance_count,
 )
-from banddet import permcount
+from banddet import oracle, permcount
 from banddet.band import band_rows, g_closed
 from banddet.rings import RingElement
 
@@ -69,6 +69,35 @@ class TestCharMatrix:
     def test_to_dense(self):
         dense = menage_a_matrix(2).to_dense()
         assert det_bareiss(dense).value == 0
+
+    def test_to_dense_keeps_the_strip_of_a_toeplitz_matrix(self):
+        rng = random.Random("toeplitz")
+        toeplitz = [
+            tuple(tuple(strip[n - 1 - i + j] for j in range(n)) for i in range(n))
+            for n in range(1, 13)
+            for strip in (tuple(rng.randrange(2) for _ in range(2 * n - 1)) for _ in range(8))
+        ]
+        # each with its last entry of row n // 2 flipped: Toeplitz no more, except at n = 1
+        flipped = [
+            (*bits[: len(bits) // 2], (*row[:-1], 1 - row[-1]), *bits[len(bits) // 2 + 1 :])
+            for bits in toeplitz
+            for row in [bits[len(bits) // 2]]
+        ]
+        boards = [
+            *_every_board(3),
+            *(mk(n).bits for n in range(1, 21) for mk in (menage_a_matrix, menage_b_matrix)),
+            *toeplitz,
+            *flipped,
+        ]
+        strips = 0
+        for bits in boards:
+            A = CharMatrix(bits)
+            dense, want = A.to_dense(), DenseMatrix(bits)
+            assert dense == want and hash(dense) == hash(want) and repr(dense) == repr(want), bits
+            is_toeplitz = all(bits[i][j] == bits[i + 1][j + 1] for i in range(A.n - 1) for j in range(A.n - 1))
+            assert (type(dense) is oracle._Strip) == is_toeplitz, bits
+            strips += is_toeplitz
+        assert 0 < strips < len(boards)
 
     def test_seating_matrices_equal_the_checked_ones(self):
         # built without the 0/1 scan, they are what the checked constructor builds
@@ -520,30 +549,29 @@ class TestRookCore:
             assert r == [stirling2(n + 1, n + 1 - j) for j in range(n + 1)]
 
     def test_wide_board_falls_back_to_ryser(self, monkeypatch):
-        calls, dets = [], []
-        real, real_det = permcount.permanent_ryser, permcount.det_bareiss
+        calls = []
+        real = permcount.permanent_ryser
         monkeypatch.setattr(permcount, "permanent_ryser", lambda m: calls.append(m.n) or real(m))
-        monkeypatch.setattr(permcount, "det_bareiss", lambda m: dets.append(m.n) or real_det(m))
         # the checkerboard's zeros have profile width n
         A = _checkerboard(8)
         assert parity_counts(A) == brute_force_parity(A)
-        assert calls == dets == []
+        assert calls == []
         for n in (9, 12):
             # a permutation on it maps even indices to even ones and odd to odd
             assert parity_counts(_checkerboard(n)).permanent == factorial((n + 1) // 2) * factorial(n // 2)
-        assert calls == dets == [9, 12]
+        assert calls == [9, 12]
         # a zero band of widths (k, l) has profile width k + l - 2
         for k, l, ryser in [(5, 5, False), (6, 5, True)]:
             A = CharMatrix(band_rows(12, k, l, 0, 1))
             assert parity_counts(A).permanent == real(A.to_dense()).value
-            assert calls[2:] == dets[2:] == ([12] if ryser else []), (k, l)
-        # narrow boards never reach Ryser or Bareiss
+            assert calls[2:] == ([12] if ryser else []), (k, l)
+        # narrow boards never reach Ryser
         parity_counts(menage_b_matrix(17))
-        assert calls == dets == [9, 12, 12]
-        # a wide Ferrers board (zeros on and above the diagonal) takes GJW and Bareiss
+        assert calls == [9, 12, 12]
+        # a wide Ferrers board (zeros on and above the diagonal) takes GJW
         A = CharMatrix(band_rows(12, 12, 1, 0, 1))
         assert parity_counts(A) == ParityCount(0, 0, 0, 0)
-        assert (calls, dets) == ([9, 12, 12], [9, 12, 12, 12])
+        assert calls == [9, 12, 12]
 
     def test_wide_board_refused_at_ryser_limit(self):
         with pytest.raises(
@@ -578,10 +606,11 @@ class TestRookCore:
             excedance_census(10)
 
 
-def _det_by_minors(zeros):
-    """det(J - Z) for the 0/1 rows of Z, by the signed DP over Z's board."""
-    det_z, cofactors = permcount._signed_minors(permcount._board(zeros))
-    return (-1) ** len(zeros) * (det_z - cofactors)
+def _every_board(n_max):
+    """Every 0/1 matrix of order at most n_max, by its rows."""
+    for n in range(1, n_max + 1):
+        for flat in product((0, 1), repeat=n * n):
+            yield tuple(flat[i * n : (i + 1) * n] for i in range(n))
 
 
 def _random_boards(seed, n_max, per_order):
@@ -593,74 +622,53 @@ def _random_boards(seed, n_max, per_order):
 
 
 def _with_zero_columns(boards, count):
-    """Each board of order > count with columns 1..count cleared, which the
-    signed DP moves to the front."""
+    """Each board of order > count with columns 1..count cleared."""
     for zeros in boards:
         if len(zeros) > count:
             yield tuple(tuple(0 if 1 <= j <= count else e for j, e in enumerate(row)) for row in zeros)
 
 
-def _is_monotone(zeros):
-    """Whether the last row that reaches each column rises with the column."""
-    last = [max((i for i, row in enumerate(zeros) if row[j]), default=-1) for j in range(len(zeros))]
-    return last == sorted(last)
-
-
-class TestSignedMinors:
-    def test_det_matches_bareiss(self):
-        # seeded random boards, most of them not monotone
-        random_boards = list(_random_boards(24, 8, 40))
-        boards = [
-            # every 0/1 matrix of order <= 3
-            *(
-                tuple(flat[i * n : (i + 1) * n] for i in range(n))
-                for n in range(1, 4)
-                for flat in product((0, 1), repeat=n * n)
-            ),
-            *random_boards,
-            *_with_zero_columns(random_boards, 1),
-            *_with_zero_columns(random_boards, 2),
-            # every zero band window with k, l <= 6, to order 39 where parity_counts gives it the
-            # DP (profile width k + l - 2 <= 8) and to order 19 where it does not
+class TestParityDeterminant:
+    def test_det_matches_laplace_and_bareiss(self):
+        random_zeros = list(_random_boards(24, 8, 40))
+        zero_boards = [
+            *_every_board(3),
+            # seeded random boards, most of them not Toeplitz, and their zero-column variants
+            *random_zeros,
+            *_with_zero_columns(random_zeros, 1),
+            *_with_zero_columns(random_zeros, 2),
+            # every zero band window with l <= k <= 6, to order 39 where parity_counts reads the
+            # permanent off the rook DP (profile width k + l - 2 <= 8) and to 15 where Ryser
             *(
                 band_rows(n, k, l, 1, 0)
                 for k in range(1, 7)
-                for l in range(1, 7)
-                for n in range(1, 40 if k + l - 2 <= permcount._PARITY_MAX_WIDTH else 20)
+                for l in range(1, k + 1)
+                for n in range(1, 40 if k + l - 2 <= permcount._PARITY_MAX_WIDTH else 16)
             ),
         ]
-        assert sum(not _is_monotone(zeros) for zeros in boards) > 500
-        for zeros in boards:
-            A = DenseMatrix(tuple(tuple(1 - e for e in row) for row in zeros))
-            assert _det_by_minors(zeros) == det_bareiss(A).value, zeros
+        for zeros in zero_boards:
+            A = CharMatrix(tuple(tuple(1 - e for e in row) for row in zeros))
+            det = det_laplace if A.n <= 9 else det_bareiss
+            assert parity_counts(A).determinant == det(DenseMatrix(A.bits)).value, zeros
 
-    def test_pair_matches_laplace(self):
-        # (det Z, 1^T adj(Z) 1) = (det Z, det(J + Z) - det Z) by the matrix determinant lemma
-        boards = [*_random_boards(9, 9, 12), *(band_rows(9, k, l, 1, 0) for k in range(1, 5) for l in range(1, 5))]
-        boards += [*_with_zero_columns(boards, 1), *_with_zero_columns(boards, 2)]
-        for zeros in boards:
-            det_z = det_laplace(DenseMatrix(zeros)).value
-            det_jz = det_laplace(DenseMatrix(tuple(tuple(1 + e for e in row) for row in zeros))).value
-            assert permcount._signed_minors(permcount._board(zeros)) == (det_z, det_jz - det_z), zeros
-
-    def test_two_zero_columns_give_no_minor(self):
-        for zeros in _with_zero_columns(_random_boards(3, 7, 5), 2):
-            assert permcount._signed_minors(permcount._board(zeros)) == (0, 0)
-
-    def test_seating_families_take_no_elimination(self, monkeypatch):
+    def test_seating_families_take_bareiss_on_the_strip(self, monkeypatch):
         def refused(*args):
-            raise AssertionError("dense route taken")
+            raise AssertionError("general route taken")
 
-        for name in ("det_bareiss", "permanent_ryser"):
-            monkeypatch.setattr(permcount, name, refused)
-        monkeypatch.setattr(CharMatrix, "to_dense", refused)
-        for n in [*range(8, 18), 200]:
+        strips = []
+        real = permcount.det_bareiss
+        monkeypatch.setattr(permcount, "det_bareiss", lambda m: strips.append(type(m) is oracle._Strip) or real(m))
+        monkeypatch.setattr(oracle, "_row_differences", refused)
+        monkeypatch.setattr(permcount, "permanent_ryser", refused)
+        orders = [*range(1, 18), 200]
+        for n in orders:
             for matrix, det in ((menage_a_matrix, menage_a_det), (menage_b_matrix, menage_b_det)):
                 pc = parity_counts(matrix(n))
                 assert pc.determinant == det(n), (matrix, n)
                 if n <= 9:
                     assert pc == brute_force_parity(matrix(n)), (matrix, n)
             assert parity_counts(menage_a_matrix(n)).permanent == menage_a_permanent_rec(n)
+        assert strips == [True] * 3 * len(orders)
 
 
 class TestLargeOrders:
