@@ -1,0 +1,8 @@
+"""``python -m banddet``: the banddet command line (see banddet.cli)."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -116,15 +116,35 @@ def _census_cases(n_max: int):
         yield f"n={n}", got, want, got == want
 
 
-# orders per level: closed forms vs Laplace, f/g lemmas, parity and census enumeration
-_LEVELS = {"quick": (7, 6, 6, 5), "full": (9, 8, 9, 9)}
+def _rook_dp_row(family: str, n: int) -> tuple:
+    """Row n of a family's table by the per-order rook DP: the census of
+    the seating matrix, or the k = 2 row of the weak-excedance census (at
+    n = 1 there is none, and T(1, 2) = 0)."""
+    if family == "excedance-k2":
+        pc = permcount.excedance_census(n).rows[1] if n > 1 else permcount.ParityCount(0, 0, 0, 0)
+    else:
+        matrix = permcount.menage_a_matrix if family == "menage-a" else permcount.menage_b_matrix
+        pc = permcount.parity_counts(matrix(n))
+    return n, pc.permanent, pc.determinant, pc.even, pc.odd
+
+
+def _table_cases(n_max: int):
+    for family in band._FAMILY_NAMES:
+        for row in permcount.family_table(family, n_max):
+            want = _rook_dp_row(family, row[0])
+            yield f"family={family} n={row[0]}", row, want, row == want
+
+
+# orders per level: closed forms vs Laplace, f/g lemmas, parity and census
+# enumeration, tables vs the rook DP
+_LEVELS = {"quick": (7, 6, 6, 5, 6), "full": (9, 8, 9, 9, 60)}
 
 
 def run_checks(level: str = "quick") -> CheckReport:
     """Run every suite at the requested depth and collect the results."""
     if level not in _LEVELS:
         raise ValueError(f"unknown level {level!r}")
-    t_max, fg_max, enum_max, census_max = _LEVELS[level]
+    t_max, fg_max, enum_max, census_max, table_max = _LEVELS[level]
     suites = (
         _sweep("case1-vs-laplace", _case1_cases(t_max)),
         _sweep("case2-vs-laplace", _case2_cases(t_max)),
@@ -133,5 +153,6 @@ def run_checks(level: str = "quick") -> CheckReport:
         _sweep("all-b-rows-vs-scan", _row_count_cases(10)),
         _sweep("parity-vs-enumeration", _parity_cases(enum_max)),
         _sweep("excedance-census-vs-enumeration", _census_cases(census_max)),
+        _sweep("tables-vs-rook-dp", _table_cases(table_max)),
     )
     return CheckReport(level, suites)

@@ -34,7 +34,7 @@ _DEFAULT_LIMITS = {
     # entries takes about 1 s and a full matrix of quadratic ones about 3 s
     "RYSER_POLY": 18,
     "ENUM": 9,  # every walk over the n! permutations of S_n
-    "TRANSFER": 200,  # the rook-number census paths of permcount (polynomial time)
+    "TRANSFER": 200,  # the census paths of permcount: rook boards and tables (polynomial time)
     # the CLI's Bareiss runs: DENSE bounds the order n, the number of
     # elimination steps, DENSE_BITS n times the bits of max(|a|, |b|), which
     # bounds the size of the minors elimination builds (the slowest admitted
@@ -337,7 +337,7 @@ def det_bareiss(m: DenseMatrix) -> Integer:
     brought up to step k by multiplying by p_(k-1) and dividing by
     p_(s-1), so its next update divides by p_(s-1) in place of p_(k-1).
     Every division is exact by construction; inexactness is checked and
-    reported as a bug.
+    reported as a bug.  An update whose divisor is 1 takes no division.
     """
     if not m.is_integer():
         raise TypeError("det_bareiss requires the integer ring")
@@ -371,7 +371,11 @@ def det_bareiss(m: DenseMatrix) -> Integer:
             if i != p:
                 rowi = rows[i]
                 f, d, div[i] = rowi[0], div[i], pk
-                row = [_exact_div(pk * x - f * y, d) for x, y in zip_longest(rowi[1:], tail, fillvalue=0)]
+                pairs = zip_longest(rowi[1:], tail, fillvalue=0)
+                if d == 1:
+                    row = [pk * x - f * y for x, y in pairs]
+                else:
+                    row = [_exact_div(pk * x - f * y, d) for x, y in pairs]
                 lo = next(compress(count(), row), None)  # None: a row of zeros, filed nowhere
                 if lo is not None:
                     del row[:lo]

@@ -7,13 +7,15 @@ This module builds the named families (two rectangular-table seating
 variants and the weak-excedance matrix), computes their censuses through
 the permanent/determinant route, the permanent read off a transfer DP
 over the zeros of A when they are narrow and the determinant by Bareiss,
-and re-derives everything by direct enumeration for cross-checking.
+reads the families' tables off recurrences in n, with that route as
+their oracle, and re-derives everything by direct enumeration for
+cross-checking.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from itertools import accumulate, permutations
+from itertools import accumulate, count, islice, permutations
 from math import comb, factorial, prod
 from operator import mul, or_
 
@@ -120,11 +122,14 @@ def perm_sign(perm) -> int:
 # parity_counts read boards.  An order-n board holds n masks of up to n
 # bits, so both builders check the TRANSFER guard before they build one.
 
+# a row's bytes 0/1 as the digits of its mask, last column first
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
 
 def _board(bits) -> list[int]:
     """The board of a 0/1 matrix given by its rows."""
     check_size("TRANSFER", len(bits), "rook board")
-    return [int("".join(map(str, reversed(row))), 2) for row in bits]
+    return [int(bytes(row[::-1]).translate(_DIGITS), 2) for row in bits]
 
 
 def _band_board(n: int, k: int, l: int) -> list[int]:
@@ -149,38 +154,6 @@ def _later_reach(board: list[int]) -> list[int]:
     return reach[::-1]
 
 
-def _ferrers_rows(lengths: list[int]):
-    """The rook numbers r_0..r_i of the Ferrers board whose rows have the
-    given lengths, in increasing order, after each row i: the recurrence
-    of Goldman, Joichi and White, r'_j = r_j + (h - j + 1) r_{j-1} for a
-    new row of length h, since the j - 1 rooks already placed sit in
-    columns of the new row."""
-    r = [1]
-    for h in lengths:
-        r = [1] + [x + (h - j) * y for j, (x, y) in enumerate(zip(r[1:] + [0], r))]
-        yield r
-
-
-def _profile_rows(board: list[int], slot: int):
-    """The profile DP over a board, row by row: after each row, the count
-    of each state.  The state is the set of used columns that a later row
-    can still reach, so a profile width f (a band of width w has f <= w)
-    keeps at most 2^f states.  A state's counts by rook number j are
-    packed into one int, r_j in bits [j*slot, (j+1)*slot)."""
-    states = {0: 1}
-    for mask, later in zip(board, _later_reach(board)):
-        step = defaultdict(int)
-        for used, packed in states.items():
-            step[used & later] += packed
-            free = mask & ~used
-            while free:
-                low = free & -free
-                step[(used | low) & later] += packed << slot
-                free ^= low
-        states = step
-        yield states
-
-
 def _slot(board: list[int]) -> int:
     """Bits that hold any rook number of the board or of a part of its
     rows: the product of (1 + row length) over rows bounds their sum."""
@@ -188,7 +161,7 @@ def _slot(board: list[int]) -> int:
 
 
 def _unpack(packed: int, slot: int, n: int) -> list[int]:
-    """r_0..r_n from the packed counts of _profile_rows."""
+    """r_0..r_n from the packed counts of the profile DP (see _rook_numbers)."""
     low_bits = (1 << slot) - 1
     return [(packed >> (j * slot)) & low_bits for j in range(n + 1)]
 
@@ -204,36 +177,33 @@ def _rook_numbers(board: list[int]) -> list[int]:
     """Rook numbers r_0..r_n of an order-n board: r_j ways to place j
     non-attacking rooks on its ones.
 
-    Nested rows (a Ferrers board) take the Goldman-Joichi-White
-    recurrence, adding rows by increasing length; any other board runs the
-    profile DP."""
-    n = len(board)
+    Nested rows (a Ferrers board) take the recurrence of Goldman, Joichi
+    and White, adding rows by increasing length: a new row of length h
+    gives r'_j = r_j + (h - j + 1) r_{j-1}, since the j - 1 rooks already
+    placed sit in columns of the new row.  Any other board runs a profile
+    DP row by row.  Its state is the set of used columns that a later row
+    can still reach, so a profile width f (a band of width w has f <= w)
+    keeps at most 2^f states.  A state's counts by rook number j are
+    packed into one int, r_j in bits [j*slot, (j+1)*slot)."""
     if _is_ferrers(board):
-        return deque(_ferrers_rows(sorted(map(int.bit_count, board))), maxlen=1).pop()
+        r = [1]
+        for h in sorted(map(int.bit_count, board)):
+            r = [1] + [x + (h - j) * y for j, (x, y) in enumerate(zip(r[1:] + [0], r))]
+        return r
     slot = _slot(board)
-    states = deque(_profile_rows(board, slot), maxlen=1).pop()
+    states = {0: 1}
+    for mask, later in zip(board, _later_reach(board)):
+        step = defaultdict(int)
+        for used, packed in states.items():
+            step[used & later] += packed
+            free = mask & ~used
+            while free:
+                low = free & -free
+                step[(used | low) & later] += packed << slot
+                free ^= low
+        states = step
     # no row is later than the last, so every profile has collapsed to 0
-    return _unpack(states[0], slot, n)
-
-
-def _corner_rook_numbers(n_max: int, k: int, l: int):
-    """The rook numbers of _band_board(n, k, l) for n = 1..n_max, each
-    read off one pass over the order-n_max board: the window rule does not
-    depend on the order, so the order-n board is its leading n x n corner.
-
-    The staircase (l = 1, k >= n_max) adds one row of length n per order,
-    so each Goldman-Joichi-White step gives the next order.  (Any other
-    Ferrers band board's shortest rows are not a corner.)  Any other band
-    runs the profile DP: column c is in row c's window, so after row n - 1
-    the states still hold every used column >= n, and the corner's counts
-    are those of the states with none."""
-    board = _band_board(n_max, k, l)
-    if l == 1 and k >= n_max:
-        yield from _ferrers_rows(sorted(map(int.bit_count, board)))
-        return
-    slot = _slot(board)
-    for n, states in enumerate(_profile_rows(board, slot), start=1):
-        yield _unpack(sum(p for used, p in states.items() if not used >> n), slot, n)
+    return _unpack(states[0], slot, len(board))
 
 
 def _hits(r: list[int], top: int) -> list[int]:
@@ -312,20 +282,43 @@ def menage_b_matrix(n: int) -> CharMatrix:
     return CharMatrix._unchecked(_band_rows(n, *_MENAGE_B_ZEROS, 0, 1))
 
 
-def menage_a_permanent_rec(n: int) -> int:
-    """Class size of the A family by the recurrence
+def _menage_a_permanents():
+    """The A family's class sizes p_1, p_2, ... by the recurrence
 
         (n-1) p_n = (n^2 - n - 1) p_{n-1} + n p_{n-2} + 2(-1)^(n+1)
 
     with p_1 = p_2 = 0.  The division by n-1 must land exactly."""
-    _require_order(n)
-    if n <= 2:
-        return 0
-    p_prev2, p_prev = 0, 0
-    for m in range(3, n + 1):
+    p_prev2 = p_prev = 0
+    yield from (p_prev2, p_prev)
+    for m in count(3):
         num = (m * m - m - 1) * p_prev + m * p_prev2 + (2 if m & 1 else -2)
         p_prev2, p_prev = p_prev, _exact_div(num, m - 1)
-    return p_prev
+        yield p_prev
+
+
+def menage_a_permanent_rec(n: int) -> int:
+    """Class size of the A family by the recurrence of _menage_a_permanents."""
+    _require_order(n)
+    return next(islice(_menage_a_permanents(), n - 1, None))
+
+
+# The B family's class sizes p_0..p_6, and the coefficients (a_i, b_i) of
+# its recurrence p_n = sum_i (a_i n + b_i) p_(n-1-i), i = 0..6:
+#   p_n = n p_(n-1) + 4 p_(n-2) - (3n-9) p_(n-3) + (n-4) p_(n-4)
+#         + (2n-10) p_(n-5) - (n-7) p_(n-6) - p_(n-7).
+# It was read off the rook DP's first terms and equals the DP at every order
+# checked (see README: a conjecture beyond them).
+_MENAGE_B_START = (1, 0, 0, 0, 1, 4, 29)
+_MENAGE_B_STEP = ((1, 0), (0, 4), (-3, 9), (1, -4), (2, -10), (-1, 7), (0, -1))
+
+
+def _menage_b_permanents():
+    """The B family's class sizes p_1, p_2, ... by its recurrence."""
+    yield from _MENAGE_B_START[1:]
+    window = deque(_MENAGE_B_START, maxlen=len(_MENAGE_B_START))  # p_(n-7)..p_(n-1)
+    for n in count(len(_MENAGE_B_START)):
+        window.append(sum((a * n + b) * p for (a, b), p in zip(_MENAGE_B_STEP, reversed(window))))
+        yield window[-1]
 
 
 def menage_a_permanent_sum(n: int) -> int:
@@ -459,34 +452,38 @@ def weak_excedance_class(n: int, count: int) -> list[tuple[int, ...]]:
     return out
 
 
-# family -> (its band window (k, l) at order n, the hit number h its row
-# reads, its det at order n, column names), in _FAMILY_NAMES order.  A
-# seating matrix is J - Z for its zero band Z, so its class is e_0 of Z;
-# excedance-k2 is e_2 of the weak-excedance staircase, and its det the b^2
-# coefficient of (b - 1)^(n-1) b, c(n, 2) = (-1)^n (n - 1).
+def _two_weak_excedances():
+    """T(n, 2) for n = 1, 2, ...: the Eulerian number 2^n - n - 1."""
+    return ((1 << n) - n - 1 for n in count(1))
+
+
+# family -> (its class sizes at n = 1, 2, ..., its det at order n, column
+# names), in _FAMILY_NAMES order.  excedance-k2's det is the b^2 coefficient
+# of (b - 1)^(n-1) b, c(n, 2) = (-1)^n (n - 1).
 _SEATING = ("n", "per", "det", "even", "odd")
 _FAMILIES = dict(zip(_FAMILY_NAMES, (
-    (lambda n: _MENAGE_A_ZEROS, 0, menage_a_det, _SEATING),
-    (lambda n: _MENAGE_B_ZEROS, 0, menage_b_det, _SEATING),
-    (lambda n: (n, 1), 2, lambda n: 1 - n if n & 1 else n - 1, ("n", "T", "c", "even", "odd")),
+    (_menage_a_permanents, menage_a_det, _SEATING),
+    (_menage_b_permanents, menage_b_det, _SEATING),
+    (_two_weak_excedances, lambda n: 1 - n if n & 1 else n - 1, ("n", "T", "c", "even", "odd")),
 ), strict=True))
 
 
 def family_table(family: str, n_max: int) -> list[tuple[int, int, int, int, int]]:
-    """Census rows for n = 1..n_max, every row's permanent read off one
-    pass over the order-n_max board (see _corner_rook_numbers).
+    """Census rows for n = 1..n_max, every row's permanent read off one pass
+    of the family's recurrence; the rook DP of parity_counts and
+    excedance_census is its oracle.
 
-    menage-a, menage-b: (n, per, det, even, odd) with the permanent from
-    the hit numbers of the zero band and the determinant from the family
-    closed form.
+    menage-a, menage-b: (n, per, det, even, odd) with the determinant from
+    the family closed form.
     excedance-k2: (n, T(n,2), c(n,2), even, odd).
     """
     _require_order(n_max, "n_max")
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    window, h, det, _ = _FAMILIES[family]
+    check_size("TRANSFER", n_max, "family_table")
+    permanents, det, _ = _FAMILIES[family]
     rows = []
-    for n, r in enumerate(_corner_rook_numbers(n_max, *window(n_max)), start=1):
-        pc = ParityCount.split(_hits(r, h)[h], det(n))
+    for n, per in zip(range(1, n_max + 1), permanents()):
+        pc = ParityCount.split(per, det(n))
         rows.append((n, pc.permanent, pc.determinant, pc.even, pc.odd))
     return rows

@@ -15,6 +15,7 @@ QUICK_CASES = {
     "all-b-rows-vs-scan": 220,
     "parity-vs-enumeration": 12,
     "excedance-census-vs-enumeration": 5,
+    "tables-vs-rook-dp": 18,
 }
 
 
@@ -46,6 +47,10 @@ def _two_more_at_each_k(census):
     return ExcedanceCensus(census.n, tuple(map(_two_more_members, census.rows)))
 
 
+def _two_more_in_each_row(rows):
+    return [(n, per + 2, det, even + 1, odd + 1) for n, per, det, even, odd in rows]
+
+
 # corrupted function: (its module, the change to its result, the suite that
 # must catch it, the smallest case that suite must report)
 CORRUPTIONS = {
@@ -61,6 +66,7 @@ CORRUPTIONS = {
     "excedance_census": (
         permcount, _two_more_at_each_k, "excedance-census-vs-enumeration", "n=1"
     ),
+    "family_table": (permcount, _two_more_in_each_row, "tables-vs-rook-dp", "family=menage-a n=1"),
 }
 
 

@@ -530,7 +530,8 @@ GOLDEN = [
      "case1-vs-laplace: 560 cases, 0 failures\ncase2-vs-laplace: 1120 cases, 0 failures\n"
      "recurrence-vs-case1: 312 cases, 0 failures\nfg-closed-vs-laplace: 66 cases, 0 failures\n"
      "all-b-rows-vs-scan: 220 cases, 0 failures\nparity-vs-enumeration: 12 cases, 0 failures\n"
-     "excedance-census-vs-enumeration: 5 cases, 0 failures\ntotal: 2295 cases at level quick\n"),
+     "excedance-census-vs-enumeration: 5 cases, 0 failures\ntables-vs-rook-dp: 18 cases, 0 failures\n"
+     "total: 2313 cases at level quick\n"),
 ]
 
 
@@ -561,6 +562,16 @@ def test_process_exit_codes(argv, code):
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == code, proc.stderr
+
+
+def test_package_runs_as_a_module():
+    env = {k: v for k, v in os.environ.items() if not k.startswith("BANDDET_LIMIT_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "banddet", "census", "--n", "3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "k,T,c,even,odd\n1,1,1,1,0\n2,4,-2,1,3\n3,1,1,1,0\n"), proc.stderr
 
 
 def test_closed_pipe_exits_141_silently():

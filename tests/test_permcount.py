@@ -425,42 +425,23 @@ class TestFamilyTables:
 
     @pytest.mark.parametrize("family, n_max", [("menage-a", 25), ("excedance-k2", 8)])
     def test_guard_refuses_before_any_permanent(self, monkeypatch, family, n_max):
-        # a low limit keeps the refused tables small; no board reaches either core
+        # a low limit keeps the refused tables small
         monkeypatch.setenv("BANDDET_LIMIT_TRANSFER", "6")
-        passes = []
-        for core in ("_profile_rows", "_ferrers_rows"):
-            real = getattr(permcount, core)
-
-            def counted(rows, *args, real=real):
-                passes.append(len(rows))
-                return real(rows, *args)
-
-            monkeypatch.setattr(permcount, core, counted)
-        with pytest.raises(SizeLimitError, match="BANDDET_LIMIT_TRANSFER"):
+        dp_runs = []
+        for core in ("_rook_numbers", "_board", "_band_board"):
+            monkeypatch.setattr(permcount, core, lambda *args, core=core: dp_runs.append(core))
+        with pytest.raises(SizeLimitError, match=r"^family_table refuses order .*BANDDET_LIMIT_TRANSFER"):
             family_table(family, n_max)
-        assert passes == []
-        # every order from one pass over the order-6 board, not one run per order
-        family_table(family, 6)
-        assert passes == [6]
+        # the rows come from the family's recurrence: no board is built and no rook DP runs
+        assert family_table(family, 6) == {"menage-a": MENAGE_A, "excedance-k2": EXCEDANCE_K2}[family][:6]
+        assert dp_runs == []
 
 
 class TestCornerSweep:
-    def test_corners_match_each_order_alone(self):
-        # every band window, the staircase (k = N, l = 1) included
-        for N in range(1, 10):
-            for k in range(1, N + 1):
-                for l in range(1, k + 1):
-                    corners = list(permcount._corner_rook_numbers(N, k, l))
-                    alone = [
-                        permcount._rook_numbers(permcount._band_board(n, min(k, n), min(l, n)))
-                        for n in range(1, N + 1)
-                    ]
-                    assert corners == alone, (N, k, l)
-
     @pytest.mark.parametrize("n_max", [2, 12])
     @pytest.mark.parametrize("family, matrix", [("menage-a", menage_a_matrix), ("menage-b", menage_b_matrix)])
     def test_seating_tables_match_ryser(self, family, matrix, n_max):
-        # at n_max = 2 the menage-b board is a Ferrers board whose shortest row is no corner
+        # n_max = 2 reads only the recurrences' starting values
         rows = family_table(family, n_max)
         assert [row[0] for row in rows] == list(range(1, n_max + 1))
         for n, per, det, even, odd in rows:
@@ -680,21 +661,37 @@ class TestLargeOrders:
         assert sum(excedance_census(200).per_coeffs) == factorial(200)
 
     def test_excedance_k2_table_is_the_census_k2_row(self):
-        # the table reads e_2 of the staircase and the census e_1..e_n: one row, two routes
-        table = family_table("excedance-k2", 60)
-        for n in range(2, 61):
+        # the table reads T(n, 2) = 2^n - n - 1 and the census e_1..e_n of the
+        # staircase's rook DP: one row, two routes, at every order to the limit
+        table = family_table("excedance-k2", 200)
+        assert table[0] == (1, 0, 0, 0, 0)
+        for n in range(2, 201):
             r = excedance_census(n).rows[1]
             assert table[n - 1][1:] == (r.permanent, r.determinant, r.even, r.odd), n
 
     def test_menage_a_permanents_to_200(self):
         rows = family_table("menage-a", 200)
-        assert [row[1] for row in rows] == [menage_a_permanent_rec(n) for n in range(1, 201)]
+        assert [row[1] for row in rows] == [menage_a_permanent_sum(n) for n in range(1, 201)]
+
+    def test_menage_a_table_matches_parity_counts(self):
+        # recurrence and closed-form det against the zero-band rook DP and
+        # Bareiss, at every order to the limit
+        for n, per, det, even, odd in family_table("menage-a", 200):
+            assert ParityCount(even, odd, per, det) == parity_counts(menage_a_matrix(n)), n
 
     def test_menage_b_table_matches_parity_counts(self):
-        # closed-form det and zero-band DP against Bareiss and the route parity_counts picks
-        for n in (25, 40):
-            _, per, det, even, odd = family_table("menage-b", n)[-1]
-            assert ParityCount(even, odd, per, det) == parity_counts(menage_b_matrix(n))
+        for n, per, det, even, odd in family_table("menage-b", 200):
+            assert ParityCount(even, odd, per, det) == parity_counts(menage_b_matrix(n)), n
+
+    def test_tables_match_the_rook_dp_past_the_default_guard(self, monkeypatch):
+        # menage-b's recurrence is checked, not proved: these orders are the checked ones past 200
+        monkeypatch.setenv("BANDDET_LIMIT_TRANSFER", "400")
+        for n in (300, 400):
+            for family, matrix in (("menage-a", menage_a_matrix), ("menage-b", menage_b_matrix)):
+                _, per, det, even, odd = family_table(family, n)[-1]
+                assert ParityCount(even, odd, per, det) == parity_counts(matrix(n)), (family, n)
+            r = excedance_census(n).rows[1]
+            assert family_table("excedance-k2", n)[-1] == (n, r.permanent, r.determinant, r.even, r.odd)
 
     def test_excedance_coefficients_are_eulerian(self):
         eulerian = [1]  # A(1, m) for m = 0
