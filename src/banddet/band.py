@@ -11,7 +11,7 @@ cross-checking the l = 1 case.
 from __future__ import annotations
 
 from .errors import MixedRingError, _Record, _require_int, _require_order
-from .oracle import DenseMatrix, _dense, _exact_div, _Strip, _windows
+from .oracle import DenseMatrix, _dense, _Strip, _windows
 from .rings import RingElement, as_element, element_from_json, element_to_json
 
 __all__ = [
@@ -180,8 +180,8 @@ class FactoredDet(_Record):
 def _residue(n: int, k: int, l: int) -> BandResidue:
     """The residue rule that `residue` reports and both closed forms use."""
     if l == 1:
-        p = n % k or k
-        return BandResidue(p, _exact_div(n - p, k), 1)
+        q, r = divmod(n - 1, k)
+        return BandResidue(r + 1, q, 1)
     w = k + l - 1
     return BandResidue(n % w, n // w, 2)
 

@@ -18,7 +18,7 @@ import sys
 # census and check code, and json, load in the verbs that use them
 from . import band, oracle
 from .errors import MixedRingError, SizeLimitError
-from .rings import _int_parse, element_to_json
+from .rings import _int_parse, _int_str, element_to_json
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -138,16 +138,17 @@ def _cmd_perm(args) -> int:
 def _emit_rows(keys, rows, fmt: str, **fixed) -> None:
     """Print rows as CSV under a header of keys, or as JSON lines that
     start with the `fixed` fields; in JSON the first column stays a number
-    and the others are decimal strings.  Printed once, after rendering."""
+    and the others are decimal strings.  Values of any size render, by
+    _int_str.  Printed once, after rendering."""
     if fmt == "json":
         lines = []
         for row in rows:
             obj = {**fixed, keys[0]: row[0]}
             for key, value in zip(keys[1:], row[1:]):
-                obj[key] = str(value)
+                obj[key] = _int_str(value)
             lines.append(_dumps(obj))
     else:
-        lines = [",".join(keys)] + [",".join(str(v) for v in row) for row in rows]
+        lines = [",".join(keys)] + [",".join(map(_int_str, row)) for row in rows]
     print("\n".join(lines))
 
 

@@ -24,7 +24,7 @@ class InexactDivisionError(ArithmeticError):
     inputs, so raising it means a parameter or transcription bug."""
 
 
-DivisibilityError = InexactDivisionError  # the closed forms' name for the same fault
+DivisibilityError = InexactDivisionError  # the same fault by another name; only Bareiss raises it
 
 
 class SizeLimitError(RuntimeError):

@@ -22,7 +22,7 @@ from operator import mul, or_
 from .band import _FAMILY_NAMES, BandSpec, _band_rows, _band_run, materialize
 from .errors import InvalidPermutationError, ParityError, _Record
 from .errors import _require_int, _require_order, _require_square
-from .oracle import DenseMatrix, _exact_div, _perm_sign, _Strip, _windows, check_size, det_bareiss, permanent_ryser
+from .oracle import DenseMatrix, _perm_sign, _Strip, _windows, check_size, det_bareiss, permanent_ryser
 from .rings import Integer, Poly, _binomial_coeffs
 
 __all__ = [
@@ -283,17 +283,18 @@ def menage_b_matrix(n: int) -> CharMatrix:
 
 
 def _menage_a_permanents():
-    """The A family's class sizes p_1, p_2, ... by the recurrence
+    """The A family's class sizes p_1, p_2, ... by
 
-        (n-1) p_n = (n^2 - n - 1) p_{n-1} + n p_{n-2} + 2(-1)^(n+1)
+        p_n = (n-1)(p_{n-1} + p_{n-2}) + p_{n-3},  p_0, p_1, p_2 = 1, 0, 0:
 
-    with p_1 = p_2 = 0.  The division by n-1 must land exactly."""
-    p_prev2 = p_prev = 0
-    yield from (p_prev2, p_prev)
-    for m in count(3):
-        num = (m * m - m - 1) * p_prev + m * p_prev2 + (2 if m & 1 else -2)
-        p_prev2, p_prev = p_prev, _exact_div(num, m - 1)
-        yield p_prev
+    the known (n-1) p_n = (n^2 - n - 1) p_{n-1} + n p_{n-2} + 2(-1)^(n+1)
+    at n plus itself at n - 1, where the 2(-1)^n terms cancel and every
+    term left has a factor n - 1."""
+    a, b, c = 1, 0, 0  # p_(n-3), p_(n-2), p_(n-1) at n = 3
+    yield from (b, c)
+    for m in count(2):  # m = n - 1
+        a, b, c = b, c, m * (b + c) + a
+        yield c
 
 
 def menage_a_permanent_rec(n: int) -> int:

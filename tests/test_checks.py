@@ -1,8 +1,9 @@
 import operator
+import re
 
 import pytest
 
-from banddet import ExcedanceCensus, Integer, ParityCount, band, checks, permcount
+from banddet import ExcedanceCensus, Integer, ParityCount, SizeLimitError, band, checks, permcount
 from banddet.checks import run_checks
 from banddet.cli import main
 from banddet.oracle import det_laplace
@@ -15,7 +16,7 @@ QUICK_CASES = {
     "all-b-rows-vs-scan": 220,
     "parity-vs-enumeration": 12,
     "excedance-census-vs-enumeration": 5,
-    "tables-vs-rook-dp": 18,
+    "tables-vs-rook-dp": 30,
 }
 
 
@@ -141,3 +142,37 @@ def test_every_failing_case_is_counted(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "case1-vs-laplace: 560 cases, 560 failures\n" in out
     assert "\nFAIL case1-vs-laplace: n=1 k=1 l=1 a=-2 b=-1 expected=" in out
+
+
+def _menage_b_step_changed(i, j, delta):
+    step = [list(pair) for pair in permcount._MENAGE_B_STEP]
+    step[i][j] += delta
+    return tuple(map(tuple, step))
+
+
+def test_a_census_that_raises_is_a_failed_case(monkeypatch, capsys):
+    # p_7 one too large makes per + det odd, so family_table raises ParityError
+    monkeypatch.setattr(permcount, "_MENAGE_B_STEP", _menage_b_step_changed(6, 1, 1))
+    assert main(["check", "--level", "quick"]) == 1
+    out = capsys.readouterr().out
+    assert "all-b-rows-vs-scan: 220 cases, 0 failures\n" in out
+    assert re.search(r"^tables-vs-rook-dp: \d+ cases, 1 failures$", out, re.M)
+    assert re.search(r"^FAIL tables-vs-rook-dp: raised ParityError: even \+ odd != per", out, re.M)
+
+
+def test_a_size_guard_in_a_suite_is_not_a_failed_case(monkeypatch):
+    def refused(*args):
+        raise SizeLimitError("family_table refuses order 10")
+
+    monkeypatch.setattr(permcount, "family_table", refused)
+    assert main(["check", "--level", "quick"]) == 3
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+@pytest.mark.parametrize("i, j", [(i, j) for i in range(7) for j in range(2)])
+def test_quick_reaches_every_menage_b_coefficient(monkeypatch, i, j, delta):
+    # each of the 14 numbers of the recurrence, one up or one down
+    monkeypatch.setattr(permcount, "_MENAGE_B_STEP", _menage_b_step_changed(i, j, delta))
+    report = run_checks("quick")
+    assert [s.name for s in report.suites if s.failures] == ["tables-vs-rook-dp"]
+    assert report.failures[0].startswith("tables-vs-rook-dp: ")

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from banddet import BandSpec, band, det_closed, menage_a_permanent_rec, oracle, rings
-from banddet.cli import main
+from banddet import BandSpec, band, det_closed, family_table, menage_a_permanent_rec, oracle, rings
+from banddet.cli import _emit_rows, main
 
 from reference_tables import MENAGE_A, MENAGE_B, EXCEDANCE_K2
 
@@ -187,6 +187,32 @@ class TestTable:
         code, _, err = run(capsys, "table", "menage-a", str(over))
         assert code == 3
         assert "limit" in err
+
+    @pytest.fixture
+    def default_digit_limit(self):
+        # the interpreter's default int -> str limit, whatever the environment sets
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        sys.set_int_max_str_digits(saved)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_past_the_digit_limit(self, capsys, monkeypatch, default_digit_limit, fmt):
+        monkeypatch.setenv("BANDDET_LIMIT_TRANSFER", "1600")
+        code, out, _ = run(capsys, "table", "menage-a", "1600", "--format", fmt)
+        assert code == 0
+        last = out.splitlines()[-1]
+        per = json.loads(last)["per"] if fmt == "json" else last.split(",")[1]
+        assert len(per) == 4433
+        assert rings._int_parse(per) == family_table("menage-a", 1600)[-1][1]
+
+    def test_emit_rows_renders_any_size(self, capsys, default_digit_limit):
+        digits = "1" + "0" * 4998 + "7"
+        big = rings._int_parse(digits)
+        _emit_rows(("n", "v"), [(1, big), (2, -big)], "csv")
+        assert capsys.readouterr().out == f"n,v\n1,{digits}\n2,-{digits}\n"
+        _emit_rows(("n", "v"), [(1, big)], "json", k=3)
+        assert capsys.readouterr().out == f'{{"k": 3, "n": 1, "v": "{digits}"}}\n'
 
     def test_menage_a_past_the_ryser_limit(self, capsys):
         code, out, _ = run(capsys, "table", "menage-a", "25")
@@ -530,8 +556,8 @@ GOLDEN = [
      "case1-vs-laplace: 560 cases, 0 failures\ncase2-vs-laplace: 1120 cases, 0 failures\n"
      "recurrence-vs-case1: 312 cases, 0 failures\nfg-closed-vs-laplace: 66 cases, 0 failures\n"
      "all-b-rows-vs-scan: 220 cases, 0 failures\nparity-vs-enumeration: 12 cases, 0 failures\n"
-     "excedance-census-vs-enumeration: 5 cases, 0 failures\ntables-vs-rook-dp: 18 cases, 0 failures\n"
-     "total: 2313 cases at level quick\n"),
+     "excedance-census-vs-enumeration: 5 cases, 0 failures\ntables-vs-rook-dp: 30 cases, 0 failures\n"
+     "total: 2325 cases at level quick\n"),
 ]
 
 

@@ -1,4 +1,6 @@
+import operator
 import random
+from fractions import Fraction
 from functools import partial
 from itertools import permutations, product
 from math import comb, factorial
@@ -435,6 +437,49 @@ class TestFamilyTables:
         # the rows come from the family's recurrence: no board is built and no rook DP runs
         assert family_table(family, 6) == {"menage-a": MENAGE_A, "excedance-k2": EXCEDANCE_K2}[family][:6]
         assert dp_runs == []
+
+
+def _rank(rows) -> int:
+    """Rank of an integer matrix over the rationals, by elimination."""
+    rows = [list(map(Fraction, row)) for row in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+class TestRecurrencesFromTheRookDP:
+    """The seating recurrences re-derived from the rook DP's permanents
+    p_1..p_40: every recurrence sum_i (a_i n + b_i) p_(n-i) = 0, i = 0..order,
+    that holds there is a multiple of the package's."""
+
+    @pytest.mark.parametrize("family, matrix, order", [
+        ("menage-a", menage_a_matrix, 3), ("menage-b", menage_b_matrix, 7),
+    ], ids=["menage-a", "menage-b"])
+    def test_solution_space_is_the_package_recurrence(self, family, matrix, order):
+        if family == "menage-a":
+            # p_n - (n-1) p_(n-1) - (n-1) p_(n-2) - p_(n-3), as its docstring states
+            assert "p_n = (n-1)(p_{n-1} + p_{n-2}) + p_{n-3}" in permcount._menage_a_permanents.__doc__
+            want = [0, 1, -1, 1, -1, 1, 0, -1]
+        else:
+            # p_n - sum_i (a_i n + b_i) p_(n-1-i)
+            want = [0, 1] + [-c for pair in permcount._MENAGE_B_STEP for c in pair]
+        p = [None] + [parity_counts(matrix(n)).permanent for n in range(1, 41)]
+        # one equation per n, in the unknowns a_0, b_0, ..., a_order, b_order
+        equations = [
+            [c for i in range(order + 1) for c in (n * p[n - i], p[n - i])]
+            for n in range(order + 1, 41)
+        ]
+        assert len(want) == 2 * (order + 1)
+        assert _rank(equations) == len(want) - 1  # the solutions form a line
+        assert all(sum(map(operator.mul, row, want)) == 0 for row in equations)
 
 
 class TestCornerSweep:
